@@ -177,9 +177,7 @@ def serialize_datum(sd: SphericalDatum) -> str:
     return dumps_document(document_dict(sd))
 
 
-def format_quotient(q: FinGenAbQuotient | None) -> str:
-    if q is None:
-        return "<not computed>"
+def format_quotient(q: FinGenAbQuotient) -> str:
     parts = []
     if q.divisible_rank == 1:
         parts.append("(Q/Z)")
@@ -189,9 +187,7 @@ def format_quotient(q: FinGenAbQuotient | None) -> str:
     return " x ".join(parts) if parts else "1"
 
 
-def format_pi(pi: PiResult | None) -> str:
-    if pi is None:
-        return "<not computed>"
+def format_pi(pi: PiResult) -> str:
     parts = []
     if pi.zhat_rank == 1:
         parts.append("Zhat_{p'}")
@@ -201,18 +197,14 @@ def format_pi(pi: PiResult | None) -> str:
     return " x ".join(parts) if parts else "1"
 
 
-def _quotient_dict(q: FinGenAbQuotient | None) -> dict | None:
-    if q is None:
-        return None
+def _quotient_dict(q: FinGenAbQuotient) -> dict:
     return {
         "divisible_rank": q.divisible_rank,
         "invariant_factors": list(q.invariant_factors),
     }
 
 
-def _pi_dict(pi: PiResult | None) -> dict | None:
-    if pi is None:
-        return None
+def _pi_dict(pi: PiResult) -> dict:
     return {
         "zhat_rank": pi.zhat_rank,
         "invariant_factors": list(pi.invariant_factors),

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .arith import is_prime
-from .intmat import DimensionError, IntMatrix, hnf, snf, solve_in_lattice
+from .intmat import DimensionError, IntMatrix, SnfResult, hnf, snf, solve_in_lattice
 
 Vector = tuple[Fraction, ...]
 
@@ -248,9 +248,13 @@ def dual_saturation(
     divisible = [
         tuple(Fraction(x) for x in res.V.column(i)) for i in range(res.rank, r)
     ]
-    factors = tuple(res.S[i][i] for i in range(res.rank) if res.S[i][i] > 1)
-    sat = SaturatedSet(tuple(finite), tuple(divisible))
-    return sat, FinGenAbQuotient(r - res.rank, factors)
+    return SaturatedSet(tuple(finite), tuple(divisible)), smith_quotient(res)
+
+
+def smith_quotient(res: SnfResult) -> FinGenAbQuotient:
+    """Quotient by Z^r of the dual saturation, read off the functionals' Smith form."""
+    factors = tuple(s for s in res.diagonal()[: res.rank] if s > 1)
+    return FinGenAbQuotient(res.S.cols - res.rank, factors)
 
 
 def intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -300,10 +304,7 @@ def quotient(big: Lattice, small: Lattice) -> FinGenAbQuotient:
             f"quotient of a rank-{big.rank} lattice by a rank-{small.rank} "
             "sublattice is not finite"
         )
-    change = IntMatrix.from_cols(coords, rows=big.rank)
-    res = snf(change)
-    factors = tuple(res.S[i][i] for i in range(res.rank) if res.S[i][i] > 1)
-    return FinGenAbQuotient(0, factors)
+    return smith_quotient(snf(IntMatrix.from_cols(coords, rows=big.rank)))
 
 
 def p_prime_part(q: FinGenAbQuotient, p: int) -> FinGenAbQuotient:

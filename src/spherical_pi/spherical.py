@@ -21,13 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .arith import is_prime
-from .intmat import DimensionError, IntMatrix, snf, solve_in_lattice, stack_rows
-from .lattices import FinGenAbQuotient, SaturatedSet, dual_saturation, p_prime_part
-from .root_data import RootDatum, restrict_coroots
+from .intmat import DimensionError, IntMatrix, SnfResult, snf, stack_rows
+from .lattices import (
+    FinGenAbQuotient,
+    SaturatedSet,
+    dual_saturation,
+    p_prime_part,
+    smith_quotient,
+)
+from .root_data import RootDatum
 
 PASS = "pass"
 WARN = "warn"
-FAIL = "fail"
 
 
 class ValidationError(ValueError):
@@ -130,21 +135,17 @@ class CheckOutcome:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything the pipeline produces for one datum.
-
-    Quotient and pi fields are None only when the corresponding stage
-    failed; the failure then appears in ``validation``.
-    """
+    """Everything the pipeline produces for one datum."""
 
     datum: SphericalDatum
-    saturation_quotient: FinGenAbQuotient | None
-    ambient_saturation_quotient: FinGenAbQuotient | None
-    pi0: PiResult | None
-    pi1: PiResult | None
+    saturation_quotient: FinGenAbQuotient
+    ambient_saturation_quotient: FinGenAbQuotient
+    pi0: PiResult
+    pi1: PiResult
     validation: tuple[CheckOutcome, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.pi0 is not None and self.pi0.zhat_rank != 0:
+        if self.pi0.zhat_rank != 0:
             raise ValueError("pi0 cannot have profinite factors")
 
 
@@ -158,6 +159,21 @@ def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ..
     genuine homogeneous data always satisfies it, so a failure is an
     error under ``strict`` and a warning otherwise.
     """
+    outcomes = _checks(sd, snf(sd.colors))
+    if strict and any(o.level != PASS for o in outcomes):
+        raise ValidationError(
+            "; ".join(o.message for o in outcomes if o.level != PASS)
+        )
+    return outcomes
+
+
+def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ...]:
+    """The outcomes of :func:`validate`, given the Smith form U F V = S of the colors.
+
+    A restricted coroot c is an integer combination of the rows of F
+    exactly when c V = z S for an integer row z, that is when (c V)_j is
+    divisible by s_j below the rank and zero from the rank on.
+    """
     outcomes = [
         CheckOutcome(
             "embedding-rank",
@@ -165,12 +181,13 @@ def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ..
             f"lattice embedding has full column rank {sd.rank}",
         )
     ]
-    restricted = restrict_coroots(sd.root_datum, sd.lattice_embedding)
-    colors_t = sd.colors.transpose()
+    rank = colors_snf.rank
+    diag = colors_snf.diagonal()
+    restricted = sd.root_datum.coroot_matrix() @ sd.lattice_embedding
     bad = [
         i
-        for i in range(restricted.rows)
-        if solve_in_lattice(colors_t, restricted[i]) is None
+        for i, row in enumerate((restricted @ colors_snf.V).entries)
+        if any(x % diag[j] if j < rank else x for j, x in enumerate(row))
     ]
     if bad:
         indices = ", ".join(str(i) for i in bad)
@@ -200,10 +217,6 @@ def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ..
             else f"characteristic exponent {sd.char_exponent} is prime",
         )
     )
-    if strict and any(o.level != PASS for o in outcomes):
-        raise ValidationError(
-            "; ".join(o.message for o in outcomes if o.level != PASS)
-        )
     return tuple(outcomes)
 
 
@@ -237,7 +250,12 @@ def ambient_color_saturation(
 
 
 def ambient_saturation_quotient(sd: SphericalDatum) -> FinGenAbQuotient:
-    return ambient_color_saturation(sd)[1]
+    return smith_quotient(snf(_ambient_constraints(sd)))
+
+
+def _p_prime_pi(q: FinGenAbQuotient, p: int) -> PiResult:
+    # each divisible direction of q contributes one profinite factor
+    return PiResult(q.divisible_rank, p_prime_part(q, p).invariant_factors, p)
 
 
 def pi0_p_prime(sd: SphericalDatum) -> PiResult:
@@ -247,13 +265,7 @@ def pi0_p_prime(sd: SphericalDatum) -> PiResult:
     by the weight lattice; the p-part of pi0 is not determined by the
     datum.
     """
-    q = ambient_saturation_quotient(sd)
-    if q.divisible_rank:
-        raise RuntimeError(
-            "ambient saturation quotient is not finite; the embedding lost rank"
-        )
-    stripped = p_prime_part(q, sd.char_exponent)
-    return PiResult(0, stripped.invariant_factors, sd.char_exponent)
+    return _p_prime_pi(ambient_saturation_quotient(sd), sd.char_exponent)
 
 
 def pi1_p_prime(sd: SphericalDatum) -> PiResult:
@@ -263,37 +275,25 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
     their p'-parts; every divisible direction contributes one profinite
     prime-to-p factor.
     """
-    _, q = color_saturation(sd)
-    stripped = p_prime_part(q, sd.char_exponent)
-    return PiResult(q.divisible_rank, stripped.invariant_factors, sd.char_exponent)
+    return _p_prime_pi(smith_quotient(snf(sd.colors)), sd.char_exponent)
 
 
 def full_report(sd: SphericalDatum) -> Report:
-    """Validate and run the whole pipeline, downgrading math failures.
+    """Validate and run the whole pipeline from two Smith forms.
 
-    Never raises on a structurally valid datum: a stage that fails turns
-    into a FAIL validation entry and a missing field instead.
+    The Smith form of the colors gives the coroot-span check and the
+    color saturation quotient; that of the colors stacked on the
+    embedding gives the ambient quotient.  pi1 and pi0 are their
+    p'-parts.  A failed coroot-span check is a warning in ``validation``.
     """
-    outcomes = list(validate(sd, strict=False))
-    sat_q: FinGenAbQuotient | None = None
-    amb_q: FinGenAbQuotient | None = None
-    pi0: PiResult | None = None
-    pi1: PiResult | None = None
-    try:
-        _, sat_q = color_saturation(sd)
-        pi1 = pi1_p_prime(sd)
-    except Exception as exc:  # pragma: no cover - defensive
-        outcomes.append(CheckOutcome("color-saturation", FAIL, str(exc)))
-    try:
-        amb_q = ambient_saturation_quotient(sd)
-        pi0 = pi0_p_prime(sd)
-    except Exception as exc:  # pragma: no cover - defensive
-        outcomes.append(CheckOutcome("ambient-saturation", FAIL, str(exc)))
+    colors_snf = snf(sd.colors)
+    sat_q = smith_quotient(colors_snf)
+    amb_q = smith_quotient(snf(_ambient_constraints(sd)))
     return Report(
         datum=sd,
         saturation_quotient=sat_q,
         ambient_saturation_quotient=amb_q,
-        pi0=pi0,
-        pi1=pi1,
-        validation=tuple(outcomes),
+        pi0=_p_prime_pi(amb_q, sd.char_exponent),
+        pi1=_p_prime_pi(sat_q, sd.char_exponent),
+        validation=_checks(sd, colors_snf),
     )
