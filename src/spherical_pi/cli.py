@@ -14,7 +14,7 @@ from .catalog import catalog, catalog_entry, run_entry
 from .documents import ParseError, format_pi, parse, serialize_report
 from .lattices import dual_saturation
 from .oracle import enumerate_torsion, structure_match
-from .spherical import ValidationError, full_report, validate
+from .spherical import ValidationError, _require_pass, full_report, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -34,9 +34,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     sd = _load(args.file)
     if args.p is not None:
         sd = sd.with_char_exponent(args.p)
-    if args.strict:
-        validate(sd, strict=True)
     report = full_report(sd)
+    if args.strict:
+        _require_pass(report.validation)
     sys.stdout.write(serialize_report(report, format=args.format))
     return EXIT_OK
 

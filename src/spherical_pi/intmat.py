@@ -4,7 +4,10 @@ Entries are plain Python ints, so intermediate values can grow without
 bound and nothing overflows silently.  The normal-form routines return
 the unimodular transformations alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
-multiplication.
+multiplication.  Matrices the package builds itself (normal forms and
+their certificates, products, transposes, stacks, root and coroot
+matrices) skip the entry check; the public constructors
+``IntMatrix(...)``, ``from_rows`` and ``from_cols`` keep it.
 
 Conventions, fixed once so that outputs are bit-reproducible:
 
@@ -58,6 +61,17 @@ class IntMatrix:
                 _check_int(x)
 
     @classmethod
+    def _trusted(
+        cls, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]
+    ) -> "IntMatrix":
+        """Wrap entries whose shape and int type hold by construction, unchecked."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[int]], cols: int | None = None
     ) -> "IntMatrix":
@@ -99,11 +113,8 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(self.cols, self.rows, entries)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -112,15 +123,16 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            ),
-        )
+        # row i of the product is the sum of x * other[k] over the nonzero
+        # x = self[i][k], so sparse operands cost their support
+        out = []
+        for row in self.entries:
+            acc = [0] * other.cols
+            for x, other_row in zip(row, other.entries):
+                if x:
+                    acc = [a + x * b for a, b in zip(acc, other_row)]
+            out.append(tuple(acc))
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.cols:
@@ -160,7 +172,9 @@ def stack_rows(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
         raise DimensionError(
             f"cannot stack {top.rows}x{top.cols} on {bottom.rows}x{bottom.cols}"
         )
-    return IntMatrix(top.rows + bottom.rows, top.cols, top.entries + bottom.entries)
+    return IntMatrix._trusted(
+        top.rows + bottom.rows, top.cols, top.entries + bottom.entries
+    )
 
 
 @dataclass(frozen=True)
@@ -186,6 +200,10 @@ class HnfResult:
 
     H: IntMatrix
     U: IntMatrix
+
+
+def _trusted_from_lists(mat: list[list[int]], cols: int) -> IntMatrix:
+    return IntMatrix._trusted(len(mat), cols, tuple(map(tuple, mat)))
 
 
 def _identity_list(n: int) -> list[list[int]]:
@@ -303,6 +321,8 @@ def _non_divisible_entry(
     s: list[list[int]], k: int, nr: int, nc: int
 ) -> tuple[int, int] | None:
     p = s[k][k]
+    if p == 1:
+        return None
     for i in range(k + 1, nr):
         row = s[i]
         for j in range(k + 1, nc):
@@ -346,9 +366,9 @@ def snf(m: IntMatrix) -> SnfResult:
             _row_add(u, k, bad[0])
         k += 1
     return SnfResult(
-        S=IntMatrix.from_rows(s, cols=nc),
-        U=IntMatrix.from_rows(u, cols=nr),
-        V=IntMatrix.from_rows(v, cols=nc),
+        S=_trusted_from_lists(s, nc),
+        U=_trusted_from_lists(u, nr),
+        V=_trusted_from_lists(v, nc),
         rank=k,
     )
 
@@ -392,8 +412,8 @@ def hnf(m: IntMatrix) -> HnfResult:
                 _col_sub(u, j, col, q)
         col += 1
     return HnfResult(
-        H=IntMatrix.from_rows(h, cols=nc),
-        U=IntMatrix.from_rows(u, cols=nc),
+        H=_trusted_from_lists(h, nc),
+        U=_trusted_from_lists(u, nc),
     )
 
 

@@ -103,9 +103,10 @@ class RootDatum:
                     f"root or coroot of length {len(v)}, expected {self.rank}"
                 )
         n = len(roots)
+        pairings = self.pairing_matrix().entries
         for i in range(n):
             for j in range(n):
-                pairing = sum(a * b for a, b in zip(coroots[i], roots[j]))
+                pairing = pairings[i][j]
                 if i == j:
                     if pairing != 2:
                         raise ValueError(
@@ -117,16 +118,14 @@ class RootDatum:
                     )
         for i in range(n):
             for j in range(n):
-                pij = sum(a * b for a, b in zip(coroots[i], roots[j]))
-                pji = sum(a * b for a, b in zip(coroots[j], roots[i]))
-                if (pij == 0) != (pji == 0):
+                if (pairings[i][j] == 0) != (pairings[j][i] == 0):
                     raise ValueError(
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
         if n:
-            if snf(IntMatrix.from_cols(list(roots), rows=self.rank)).rank != n:
+            if snf(self.root_matrix()).rank != n:
                 raise ValueError("simple roots are linearly dependent")
-            if snf(IntMatrix.from_cols(list(coroots), rows=self.rank)).rank != n:
+            if snf(self.coroot_matrix()).rank != n:
                 raise ValueError("simple coroots are linearly dependent")
 
     @property
@@ -135,11 +134,15 @@ class RootDatum:
 
     def root_matrix(self) -> IntMatrix:
         """rank x n matrix whose columns are the simple roots."""
-        return IntMatrix.from_cols(list(self.simple_roots), rows=self.rank)
+        return IntMatrix._trusted(
+            self.semisimple_rank, self.rank, self.simple_roots
+        ).transpose()
 
     def coroot_matrix(self) -> IntMatrix:
         """n x rank matrix whose rows are the simple coroots."""
-        return IntMatrix.from_rows(list(self.simple_coroots), cols=self.rank)
+        return IntMatrix._trusted(
+            self.semisimple_rank, self.rank, self.simple_coroots
+        )
 
     def pairing_matrix(self) -> IntMatrix:
         return self.coroot_matrix() @ self.root_matrix()

@@ -18,7 +18,8 @@ Everything before the final p'-extraction is characteristic-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 from .arith import is_prime
 from .intmat import DimensionError, IntMatrix, SnfResult, snf, stack_rows
@@ -69,11 +70,7 @@ class SphericalDatum:
             )
         if snf(self.lattice_embedding).rank != self.lattice_embedding.cols:
             raise ValueError("lattice embedding is rank-deficient")
-        p = self.char_exponent
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise ValueError(f"characteristic exponent must be a positive int, got {p!r}")
-        if p != 1 and not is_prime(p):
-            raise ValueError(f"characteristic exponent must be 1 or a prime, got {p}")
+        _check_char_exponent(self.char_exponent)
 
     @property
     def rank(self) -> int:
@@ -90,7 +87,18 @@ class SphericalDatum:
         return self.colors.rows
 
     def with_char_exponent(self, p: int) -> "SphericalDatum":
-        return replace(self, char_exponent=p)
+        # only p is new: the shapes and the embedding rank were checked
+        _check_char_exponent(p)
+        out = copy.copy(self)
+        object.__setattr__(out, "char_exponent", p)
+        return out
+
+
+def _check_char_exponent(p: object) -> None:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError(f"characteristic exponent must be a positive int, got {p!r}")
+    if p != 1 and not is_prime(p):
+        raise ValueError(f"characteristic exponent must be 1 or a prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -160,11 +168,17 @@ def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ..
     error under ``strict`` and a warning otherwise.
     """
     outcomes = _checks(sd, snf(sd.colors))
-    if strict and any(o.level != PASS for o in outcomes):
+    if strict:
+        _require_pass(outcomes)
+    return outcomes
+
+
+def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
+    """Raise :class:`ValidationError` naming every outcome that did not pass."""
+    if any(o.level != PASS for o in outcomes):
         raise ValidationError(
             "; ".join(o.message for o in outcomes if o.level != PASS)
         )
-    return outcomes
 
 
 def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ...]:

@@ -307,3 +307,71 @@ class TestSolveInLattice:
             sol = solve_in_lattice(m, b)
             if sol is not None:
                 assert m.mul_vec(sol) == b
+
+
+def dense_product(a, b):
+    """The former dense product, one generator sum per entry; the reference."""
+    cols = [b.column(j) for j in range(b.cols)]
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a.entries
+    )
+
+
+def sparse_matrix(rng, nr, nc, density, bits):
+    bound = 1 << bits
+    return mat(
+        [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(nc)]
+            for _ in range(nr)
+        ],
+        cols=nc,
+    )
+
+
+class TestProductAgainstReference:
+    @pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
+    def test_random_operands(self, density):
+        rng = random.Random(int(density * 10) + 400)
+        for _ in range(60):
+            nr, inner, nc = (rng.randint(0, 7) for _ in range(3))
+            bits = rng.choice((1, 6, 64, 200))
+            a = sparse_matrix(rng, nr, inner, density, bits)
+            b = sparse_matrix(rng, inner, nc, density, bits)
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (nr, nc)
+            assert prod.entries == dense_product(a, b)
+
+    @pytest.mark.parametrize("nr, inner, nc", [(0, 3, 2), (3, 2, 0), (2, 0, 3), (1, 1, 1)])
+    def test_edge_shapes(self, nr, inner, nc):
+        rng = random.Random(nr * 100 + inner * 10 + nc)
+        for density in (0, 1):
+            a = sparse_matrix(rng, nr, inner, density, 200)
+            b = sparse_matrix(rng, inner, nc, density, 200)
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (nr, nc)
+            assert prod.entries == dense_product(a, b)
+
+
+def assert_checked_form(m):
+    """m passes the public constructor and holds tuples of plain ints."""
+    assert IntMatrix(m.rows, m.cols, m.entries) == m
+    assert type(m.entries) is tuple
+    for row in m.entries:
+        assert type(row) is tuple
+        assert all(type(x) is int for x in row)
+
+
+class TestTrustedResults:
+    def test_kernel_results_pass_the_entry_check(self):
+        rng = random.Random(77)
+        for _ in range(80):
+            nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+            m = sparse_matrix(rng, nr, nc, rng.choice((0, 0.3, 1)), rng.choice((3, 80)))
+            other = sparse_matrix(rng, nc, rng.randint(0, 6), 0.5, 8)
+            res = snf(m)
+            h = hnf(m)
+            for out in (
+                res.S, res.U, res.V, h.H, h.U,
+                m @ other, m.transpose(), stack_rows(m, res.S),
+            ):
+                assert_checked_form(out)

@@ -1,10 +1,12 @@
 """Root data: Cartan tables, standard builds, coroot saturations."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from spherical_pi.intmat import DimensionError, IntMatrix
+from spherical_pi.intmat import DimensionError, IntMatrix, snf
 from spherical_pi.lattices import FinGenAbQuotient
 from spherical_pi.root_data import (
     ADJOINT,
@@ -285,3 +287,107 @@ class TestRestrictCoroots:
         rd = build_standard("A", 2, SIMPLY_CONNECTED, 0)
         with pytest.raises(DimensionError):
             restrict_coroots(rd, IntMatrix.from_rows([[1]]))
+
+
+# ---------------------------------------------------------------------------
+# The former RootDatum checks, which recompute every pairing with generator
+# sums in three loops, kept as the reference for the constructor.
+
+
+def reference_root_datum_check(rank, roots, coroots):
+    if rank < 0:
+        raise DimensionError("rank must be nonnegative")
+    if len(roots) != len(coroots):
+        raise DimensionError(
+            f"{len(roots)} simple roots against {len(coroots)} simple coroots"
+        )
+    for v in roots + coroots:
+        if len(v) != rank:
+            raise DimensionError(f"root or coroot of length {len(v)}, expected {rank}")
+    n = len(roots)
+    for i in range(n):
+        for j in range(n):
+            pairing = sum(a * b for a, b in zip(coroots[i], roots[j]))
+            if i == j:
+                if pairing != 2:
+                    raise ValueError(f"<coroot_{i}, root_{i}> = {pairing}, expected 2")
+            elif pairing > 0:
+                raise ValueError(f"<coroot_{i}, root_{j}> = {pairing} is positive")
+    for i in range(n):
+        for j in range(n):
+            pij = sum(a * b for a, b in zip(coroots[i], roots[j]))
+            pji = sum(a * b for a, b in zip(coroots[j], roots[i]))
+            if (pij == 0) != (pji == 0):
+                raise ValueError(f"pairing zeros are asymmetric at ({i}, {j})")
+    if n:
+        if snf(IntMatrix.from_cols(list(roots), rows=rank)).rank != n:
+            raise ValueError("simple roots are linearly dependent")
+        if snf(IntMatrix.from_cols(list(coroots), rows=rank)).rank != n:
+            raise ValueError("simple coroots are linearly dependent")
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def random_explicit(rng):
+    """A standard datum in permuted coordinates, often with a few entries edited."""
+    series, n = rng.choice(
+        (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2))
+    )
+    isogeny = rng.choice((ADJOINT, SIMPLY_CONNECTED))
+    rd = build_standard(series, n, isogeny, rng.randint(0, 1))
+    perm = list(range(rd.rank))
+    rng.shuffle(perm)
+    roots = [[v[k] for k in perm] for v in rd.simple_roots]
+    coroots = [[v[k] for k in perm] for v in rd.simple_coroots]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        v = rng.choice(rng.choice((roots, coroots)))
+        v[rng.randrange(rd.rank)] += rng.choice((-2, -1, 1, 2))
+    if rng.random() < 0.2:
+        # the negated first pair keeps a Cartan pairing on an A1 factor
+        roots.append([-x for x in roots[0]])
+        coroots.append([-x for x in coroots[0]])
+    if rng.random() < 0.05:
+        coroots.pop()
+    if rng.random() < 0.05:
+        roots[0].pop()
+    return rd.rank, tuple(map(tuple, roots)), tuple(map(tuple, coroots))
+
+
+class TestRootDatumAgainstReference:
+    def test_random_explicit_data(self):
+        rng = random.Random(5150)
+        kinds = ("expected 2", "positive", "asymmetric", "dependent", "length", "against")
+        seen = Counter()
+        for _ in range(600):
+            rank, roots, coroots = random_explicit(rng)
+            want = raised(reference_root_datum_check, rank, roots, coroots)
+            assert raised(RootDatum, rank, roots, coroots) == want
+            seen[next((k for k in kinds if k in want[1]), want) if want else None] += 1
+        # accepted data and every kind of rejection must all occur
+        for kind in (None,) + kinds:
+            assert seen[kind] >= 5, seen
+
+    def test_root_and_coroot_matrices_pass_the_entry_check(self):
+        rng = random.Random(5151)
+        data = [torus(0), torus(2), RootDatum(0)]
+        while len(data) < 60:
+            try:
+                data.append(RootDatum(*random_explicit(rng)))
+            except ValueError:
+                pass
+        for rd in data:
+            for m in (rd.root_matrix(), rd.coroot_matrix()):
+                assert IntMatrix(m.rows, m.cols, m.entries) == m
+                assert type(m.entries) is tuple
+                assert all(type(row) is tuple for row in m.entries)
+                assert all(type(x) is int for row in m.entries for x in row)
+            shape = (rd.root_matrix().rows, rd.root_matrix().cols)
+            assert shape == (rd.rank, rd.semisimple_rank)
+            assert rd.root_matrix().transpose().entries == rd.simple_roots
+            assert rd.coroot_matrix().entries == rd.simple_coroots

@@ -16,7 +16,9 @@ import re
 
 import pytest
 
-from spherical_pi import intmat, lattices, root_data, spherical
+from spherical_pi import cli, intmat, lattices, root_data, spherical
+from spherical_pi.catalog import CHARACTERISTICS, catalog_entry, run_entry
+from spherical_pi.documents import parse
 from spherical_pi.intmat import IntMatrix, snf, solve_in_lattice
 from spherical_pi.root_data import (
     ADJOINT,
@@ -105,8 +107,8 @@ class TestSpanCheckAgainstReference:
         assert flagged(full_report(group_case("A", n)).validation) == []
 
 
-def snf_shapes(monkeypatch, fn, sd):
-    """Shapes of the matrices that fn(sd) hands to snf, from any module."""
+def record_snf(monkeypatch):
+    """List that collects the shape of every matrix handed to snf, from any module."""
     calls = []
     real = intmat.snf
 
@@ -116,6 +118,12 @@ def snf_shapes(monkeypatch, fn, sd):
 
     for module in (intmat, lattices, root_data, spherical):
         monkeypatch.setattr(module, "snf", counting)
+    return calls
+
+
+def snf_shapes(monkeypatch, fn, sd):
+    """Shapes of the matrices that fn(sd) hands to snf."""
+    calls = record_snf(monkeypatch)
     fn(sd)
     return calls
 
@@ -135,6 +143,31 @@ class TestSnfBudget:
     def test_validate_costs_one(self, monkeypatch):
         twin = group_case("A", 4, factor=2)
         assert snf_shapes(monkeypatch, validate, twin) == [(4, 4)]
+
+    def test_parse_of_group_case_costs_three(self, monkeypatch):
+        # roots and coroots are independent, the embedding has full rank
+        doc = catalog_entry("group_case_A2_adjoint").document
+        assert snf_shapes(monkeypatch, parse, doc) == [(4, 4), (4, 4), (4, 2)]
+
+    def test_catalog_run_costs_parse_plus_two_per_p(self, monkeypatch):
+        entry = catalog_entry("group_case_A2_adjoint")
+        calls = snf_shapes(monkeypatch, run_entry, entry)
+        assert len(calls) == 3 + 2 * len(CHARACTERISTICS) == 11
+
+    def test_compute_strict_costs_two_after_parse(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(catalog_entry("group_case_A2_adjoint").document)
+        calls = record_snf(monkeypatch)
+        real_parse = cli.parse
+
+        def parse_then_count(text):
+            sd = real_parse(text)
+            calls.clear()
+            return sd
+
+        monkeypatch.setattr(cli, "parse", parse_then_count)
+        assert cli.main(["compute", str(path), "--strict"]) == 0
+        assert calls == [(2, 2), (6, 2)]
 
 
 def random_unimodular(rng, n):

@@ -106,6 +106,20 @@ class TestSphericalDatum:
         assert sd.with_char_exponent(5).char_exponent == 5
         assert sd.with_char_exponent(5).label == sd.label
 
+    def test_with_char_exponent_leaves_the_original(self):
+        sd = sl2_mod_normalizer(1)
+        assert sd.with_char_exponent(5) == sl2_mod_normalizer(5)
+        assert sd.char_exponent == 1
+
+    @pytest.mark.parametrize("p", [0, -3, 4, True, 2.0, "2"])
+    def test_with_char_exponent_rejects_what_the_constructor_rejects(self, p):
+        sd = sl2_mod_normalizer(1)
+        with pytest.raises(ValueError) as built:
+            SphericalDatum(sd.root_datum, sd.lattice_embedding, sd.colors, p)
+        with pytest.raises(ValueError) as replaced:
+            sd.with_char_exponent(p)
+        assert str(replaced.value) == str(built.value)
+
 
 class TestValidate:
     def test_sl2_mod_normalizer_passes(self):
