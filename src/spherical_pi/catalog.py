@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .documents import dumps_document, parse
-from .spherical import PiResult, full_report
+from .spherical import PiResult, _p_prime_pi, full_report
 
 CHARACTERISTICS = (1, 2, 3, 5)
 
@@ -245,18 +245,19 @@ def catalog_entry(name: str) -> CatalogEntry:
 
 
 def run_entry(entry: CatalogEntry) -> tuple[EntryRun, ...]:
-    """Recompute pi0 and pi1 at every catalog characteristic."""
-    base = parse(entry.document)
+    """Recompute pi0 and pi1 at every catalog characteristic.
+
+    Both quotients are characteristic-free, so one report serves every p.
+    """
+    report = full_report(parse(entry.document))
     runs = []
     for p in CHARACTERISTICS:
-        sd = base.with_char_exponent(p)
-        report = full_report(sd)
         exp0, exp1 = entry.expected[p]
         runs.append(
             EntryRun(
                 p=p,
-                pi0=report.pi0,
-                pi1=report.pi1,
+                pi0=_p_prime_pi(report.ambient_saturation_quotient, p),
+                pi1=_p_prime_pi(report.saturation_quotient, p),
                 expected_pi0=exp0.as_result(p),
                 expected_pi1=exp1.as_result(p),
             )

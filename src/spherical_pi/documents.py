@@ -142,8 +142,9 @@ def parse(text: str) -> SphericalDatum:
     generators = _expect_vector_list(obj["lattice"], "lattice", rd.rank)
     r = len(generators)
     color_rows = _expect_vector_list(obj["colors"], "colors", r)
-    embedding = IntMatrix.from_cols([list(g) for g in generators], rows=rd.rank)
-    colors = IntMatrix.from_rows([list(c) for c in color_rows], cols=r)
+    # _expect_vector checked every entry and length already
+    embedding = IntMatrix._trusted(r, rd.rank, tuple(generators)).transpose()
+    colors = IntMatrix._trusted(len(color_rows), r, tuple(color_rows))
     try:
         return SphericalDatum(rd, embedding, colors, p, label=label)
     except (ValueError, DimensionError, TypeError) as exc:

@@ -4,9 +4,16 @@ Entries are plain Python ints, so intermediate values can grow without
 bound and nothing overflows silently.  The normal-form routines return
 the unimodular transformations alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
-multiplication.  Matrices the package builds itself (normal forms and
-their certificates, products, transposes, stacks, root and coroot
-matrices) skip the entry check; the public constructors
+multiplication.  ``snf(m)`` returns both ``U`` and ``V``; the keywords
+``with_u`` and ``with_v`` skip one or both.  The package's own calls ask
+only for what they read: the quotients, pi0, pi1 and every rank check
+take neither certificate, the coroot-span check, ``dual_saturation`` and
+``intersect`` take ``V`` only, and ``solve_in_lattice`` takes both.
+
+Matrices the package builds itself (normal forms and their
+certificates, products, transposes, stacks, root and coroot matrices,
+and the parsed embedding and colors, whose entries the parser has
+checked) skip the entry check; the public constructors
 ``IntMatrix(...)``, ``from_rows`` and ``from_cols`` keep it.
 
 Conventions, fixed once so that outputs are bit-reproducible:
@@ -182,12 +189,13 @@ class SnfResult:
     """Smith normal form ``U @ M @ V == S`` with ``|det U| == |det V| == 1``.
 
     ``S`` is diagonal; the first ``rank`` diagonal entries are positive and
-    form a divisibility chain, the rest are zero.
+    form a divisibility chain, the rest are zero.  ``U`` or ``V`` is None
+    when the call to :func:`snf` skipped it.
     """
 
     S: IntMatrix
-    U: IntMatrix
-    V: IntMatrix
+    U: IntMatrix | None
+    V: IntMatrix | None
     rank: int
 
     def diagonal(self) -> tuple[int, ...]:
@@ -261,16 +269,20 @@ def _smallest_entry(s: list[list[int]], k: int, nr: int, nc: int) -> tuple[int, 
     return best
 
 
-def _reduce_pivot_col(s: list[list[int]], u: list[list[int]], k: int, nr: int) -> bool:
+def _reduce_pivot_col(
+    s: list[list[int]], u: list[list[int]] | None, k: int, nr: int
+) -> bool:
     """Zero the entries below the pivot s[k][k] by unimodular row operations.
 
-    Keeps the pivot positive; returns True when anything changed.
+    Applies each row operation to ``u`` too, unless it is None.  Keeps the
+    pivot positive; returns True when anything changed.
     """
     changed = False
     while True:
         if s[k][k] < 0:
             _negate_row(s, k)
-            _negate_row(u, k)
+            if u is not None:
+                _negate_row(u, k)
             changed = True
         below = [i for i in range(k + 1, nr) if s[i][k]]
         if not below:
@@ -281,23 +293,28 @@ def _reduce_pivot_col(s: list[list[int]], u: list[list[int]], k: int, nr: int) -
             q = s[i][k] // p
             if q:
                 _row_sub(s, i, k, q)
-                _row_sub(u, i, k, q)
+                if u is not None:
+                    _row_sub(u, i, k, q)
         below = [i for i in range(k + 1, nr) if s[i][k]]
         if not below:
             return changed
         # the smallest remainder becomes the new, strictly smaller pivot
         i = min(below, key=lambda t: s[t][k])
         _swap_rows(s, k, i)
-        _swap_rows(u, k, i)
+        if u is not None:
+            _swap_rows(u, k, i)
 
 
-def _reduce_pivot_row(s: list[list[int]], v: list[list[int]], k: int, nc: int) -> bool:
+def _reduce_pivot_row(
+    s: list[list[int]], v: list[list[int]] | None, k: int, nc: int
+) -> bool:
     """Column-operation mirror of ``_reduce_pivot_col``."""
     changed = False
     while True:
         if s[k][k] < 0:
             _negate_col(s, k)
-            _negate_col(v, k)
+            if v is not None:
+                _negate_col(v, k)
             changed = True
         right = [j for j in range(k + 1, nc) if s[k][j]]
         if not right:
@@ -308,13 +325,15 @@ def _reduce_pivot_row(s: list[list[int]], v: list[list[int]], k: int, nc: int) -
             q = s[k][j] // p
             if q:
                 _col_sub(s, j, k, q)
-                _col_sub(v, j, k, q)
+                if v is not None:
+                    _col_sub(v, j, k, q)
         right = [j for j in range(k + 1, nc) if s[k][j]]
         if not right:
             return changed
         j = min(right, key=lambda t: s[k][t])
         _swap_cols(s, k, j)
-        _swap_cols(v, k, j)
+        if v is not None:
+            _swap_cols(v, k, j)
 
 
 def _non_divisible_entry(
@@ -331,17 +350,21 @@ def _non_divisible_entry(
     return None
 
 
-def snf(m: IntMatrix) -> SnfResult:
+def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
     """Smith normal form with transformation certificates.
 
     Works for any shape, including empty matrices.  Pivots are chosen as
     the smallest nonzero entry of the trailing submatrix, which keeps
     intermediate growth moderate without changing the (unique) result.
+    ``with_u=False`` skips the row updates of ``U`` and ``with_v=False``
+    the column updates of ``V``; a skipped certificate is None.  Pivots
+    depend on ``S`` alone, so ``S``, ``rank`` and a kept certificate are
+    the same as those of the full call.
     """
     nr, nc = m.rows, m.cols
     s = [list(row) for row in m.entries]
-    u = _identity_list(nr)
-    v = _identity_list(nc)
+    u = _identity_list(nr) if with_u else None
+    v = _identity_list(nc) if with_v else None
     k = 0
     while k < min(nr, nc):
         pivot = _smallest_entry(s, k, nr, nc)
@@ -350,10 +373,12 @@ def snf(m: IntMatrix) -> SnfResult:
         pi, pj = pivot
         if pi != k:
             _swap_rows(s, k, pi)
-            _swap_rows(u, k, pi)
+            if u is not None:
+                _swap_rows(u, k, pi)
         if pj != k:
             _swap_cols(s, k, pj)
-            _swap_cols(v, k, pj)
+            if v is not None:
+                _swap_cols(v, k, pj)
         while True:
             while _reduce_pivot_col(s, u, k, nr) or _reduce_pivot_row(s, v, k, nc):
                 pass
@@ -363,12 +388,13 @@ def snf(m: IntMatrix) -> SnfResult:
             # fold the offending row into the pivot row; re-clearing shrinks
             # the pivot to a proper divisor, so this terminates
             _row_add(s, k, bad[0])
-            _row_add(u, k, bad[0])
+            if u is not None:
+                _row_add(u, k, bad[0])
         k += 1
     return SnfResult(
         S=_trusted_from_lists(s, nc),
-        U=_trusted_from_lists(u, nr),
-        V=_trusted_from_lists(v, nc),
+        U=None if u is None else _trusted_from_lists(u, nr),
+        V=None if v is None else _trusted_from_lists(v, nc),
         rank=k,
     )
 

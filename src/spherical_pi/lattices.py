@@ -53,7 +53,7 @@ def _rational_rank(vectors: Sequence[Vector], dim: int) -> int:
     if not vectors:
         return 0
     scale = _denominator_scale(vectors)
-    return snf(_integerized(vectors, dim, scale)).rank
+    return snf(_integerized(vectors, dim, scale), with_u=False, with_v=False).rank
 
 
 def _rref(vectors: Sequence[Vector]) -> list[tuple[int, Vector]]:
@@ -240,7 +240,7 @@ def dual_saturation(
         raise DimensionError(
             f"functionals have {functionals.cols} columns, expected {r}"
         )
-    res = snf(functionals)
+    res = snf(functionals, with_u=False)
     finite: list[Vector] = []
     for i in range(res.rank):
         s_i = res.S[i][i]
@@ -270,7 +270,7 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
     stacked_cols = [list(mat_a.column(j)) for j in range(mat_a.cols)]
     stacked_cols += [[-x for x in mat_b.column(j)] for j in range(mat_b.cols)]
     stacked = IntMatrix.from_cols(stacked_cols, rows=dim)
-    res = snf(stacked)
+    res = snf(stacked, with_u=False)
     gens: list[list[int]] = []
     for j in range(res.rank, stacked.cols):
         z = res.V.column(j)
@@ -304,7 +304,10 @@ def quotient(big: Lattice, small: Lattice) -> FinGenAbQuotient:
             f"quotient of a rank-{big.rank} lattice by a rank-{small.rank} "
             "sublattice is not finite"
         )
-    return smith_quotient(snf(IntMatrix.from_cols(coords, rows=big.rank)))
+    coords_snf = snf(
+        IntMatrix.from_cols(coords, rows=big.rank), with_u=False, with_v=False
+    )
+    return smith_quotient(coords_snf)
 
 
 def p_prime_part(q: FinGenAbQuotient, p: int) -> FinGenAbQuotient:

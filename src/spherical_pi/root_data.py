@@ -123,9 +123,9 @@ class RootDatum:
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
         if n:
-            if snf(self.root_matrix()).rank != n:
+            if snf(self.root_matrix(), with_u=False, with_v=False).rank != n:
                 raise ValueError("simple roots are linearly dependent")
-            if snf(self.coroot_matrix()).rank != n:
+            if snf(self.coroot_matrix(), with_u=False, with_v=False).rank != n:
                 raise ValueError("simple coroots are linearly dependent")
 
     @property
@@ -227,6 +227,6 @@ def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:
         raise DimensionError(
             f"embedding has {embedding.rows} rows, expected {rd.rank}"
         )
-    if snf(embedding).rank != embedding.cols:
+    if snf(embedding, with_u=False, with_v=False).rank != embedding.cols:
         raise ValueError("embedding is rank-deficient")
     return rd.coroot_matrix() @ embedding

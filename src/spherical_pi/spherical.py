@@ -68,7 +68,8 @@ class SphericalDatum:
                 f"colors have {self.colors.cols} columns, expected "
                 f"{self.lattice_embedding.cols}"
             )
-        if snf(self.lattice_embedding).rank != self.lattice_embedding.cols:
+        rank = snf(self.lattice_embedding, with_u=False, with_v=False).rank
+        if rank != self.lattice_embedding.cols:
             raise ValueError("lattice embedding is rank-deficient")
         _check_char_exponent(self.char_exponent)
 
@@ -167,7 +168,7 @@ def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ..
     genuine homogeneous data always satisfies it, so a failure is an
     error under ``strict`` and a warning otherwise.
     """
-    outcomes = _checks(sd, snf(sd.colors))
+    outcomes = _checks(sd, snf(sd.colors, with_u=False))
     if strict:
         _require_pass(outcomes)
     return outcomes
@@ -264,7 +265,7 @@ def ambient_color_saturation(
 
 
 def ambient_saturation_quotient(sd: SphericalDatum) -> FinGenAbQuotient:
-    return smith_quotient(snf(_ambient_constraints(sd)))
+    return smith_quotient(snf(_ambient_constraints(sd), with_u=False, with_v=False))
 
 
 def _p_prime_pi(q: FinGenAbQuotient, p: int) -> PiResult:
@@ -289,7 +290,8 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
     their p'-parts; every divisible direction contributes one profinite
     prime-to-p factor.
     """
-    return _p_prime_pi(smith_quotient(snf(sd.colors)), sd.char_exponent)
+    colors_snf = snf(sd.colors, with_u=False, with_v=False)
+    return _p_prime_pi(smith_quotient(colors_snf), sd.char_exponent)
 
 
 def full_report(sd: SphericalDatum) -> Report:
@@ -300,9 +302,9 @@ def full_report(sd: SphericalDatum) -> Report:
     embedding gives the ambient quotient.  pi1 and pi0 are their
     p'-parts.  A failed coroot-span check is a warning in ``validation``.
     """
-    colors_snf = snf(sd.colors)
+    colors_snf = snf(sd.colors, with_u=False)
     sat_q = smith_quotient(colors_snf)
-    amb_q = smith_quotient(snf(_ambient_constraints(sd)))
+    amb_q = ambient_saturation_quotient(sd)
     return Report(
         datum=sd,
         saturation_quotient=sat_q,

@@ -375,3 +375,57 @@ class TestTrustedResults:
                 m @ other, m.transpose(), stack_rows(m, res.S),
             ):
                 assert_checked_form(out)
+
+
+def flag_case(rng, i):
+    """Seeded input for the certificate-flag tests; the shape cycles by i."""
+    bits = rng.choice((3, 6, 200))
+    kind = i % 4
+    if kind == 0:  # empty: 0 x n or n x 0
+        n = rng.randint(0, 5)
+        nr, nc = (0, n) if i % 8 else (n, 0)
+        return sparse_matrix(rng, nr, nc, 1, bits)
+    nr, nc = rng.randint(1, 8), rng.randint(1, 8)
+    if kind == 1:  # rank-deficient: a product through an inner dimension below both
+        inner = rng.randint(0, max(0, min(nr, nc) - 1))
+        return sparse_matrix(rng, nr, inner, 1, bits // 2 + 1) @ sparse_matrix(
+            rng, inner, nc, 1, bits // 2 + 1
+        )
+    return sparse_matrix(rng, nr, nc, rng.choice((0.3, 1)), bits)
+
+
+class TestCertificateFlags:
+    def test_skipped_certificates_change_nothing_else(self):
+        rng = random.Random(3005)
+        for i in range(320):
+            m = flag_case(rng, i)
+            full = snf(m)
+            assert full.U @ m @ full.V == full.S
+            assert abs(full.U.det()) == 1 and abs(full.V.det()) == 1
+            for with_u in (True, False):
+                for with_v in (True, False):
+                    res = snf(m, with_u=with_u, with_v=with_v)
+                    assert res.S == full.S and res.rank == full.rank
+                    assert res.U == (full.U if with_u else None)
+                    assert res.V == (full.V if with_v else None)
+
+    def test_flags_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            snf(mat([[1]]), False)
+
+
+def test_diagonal_agrees_with_sympy():
+    """An independent Smith form: sympy's, on dense seeded inputs up to 12 x 12."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(1212)
+    for i in range(50):
+        nr, nc = rng.randint(1, 12), rng.randint(1, 12)
+        rows = [[rng.randint(-50, 50) for _ in range(nc)] for _ in range(nr)]
+        if i % 5 == 0 and nr > 1:  # a dependent last row
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[(nr - 1) // 2])]
+        s = smith_normal_form(Matrix(rows), domain=ZZ)
+        want = tuple(abs(int(s[j, j])) for j in range(min(nr, nc)))
+        assert snf(mat(rows), with_u=False, with_v=False).diagonal() == want

@@ -17,7 +17,7 @@ import re
 import pytest
 
 from spherical_pi import cli, intmat, lattices, root_data, spherical
-from spherical_pi.catalog import CHARACTERISTICS, catalog_entry, run_entry
+from spherical_pi.catalog import catalog_entry, run_entry
 from spherical_pi.documents import parse
 from spherical_pi.intmat import IntMatrix, snf, solve_in_lattice
 from spherical_pi.root_data import (
@@ -29,7 +29,15 @@ from spherical_pi.root_data import (
     restrict_coroots,
     torus,
 )
-from spherical_pi.spherical import PASS, WARN, SphericalDatum, full_report, validate
+from spherical_pi.spherical import (
+    PASS,
+    WARN,
+    SphericalDatum,
+    full_report,
+    pi0_p_prime,
+    pi1_p_prime,
+    validate,
+)
 
 SMALL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))
 
@@ -107,14 +115,20 @@ class TestSpanCheckAgainstReference:
         assert flagged(full_report(group_case("A", n)).validation) == []
 
 
-def record_snf(monkeypatch):
-    """List that collects the shape of every matrix handed to snf, from any module."""
+def record_snf(monkeypatch, requests=None):
+    """List that collects the shape of every matrix handed to snf, from any module.
+
+    ``requests``, when given, collects the certificate keywords
+    ``(with_u, with_v)`` of every call.
+    """
     calls = []
     real = intmat.snf
 
-    def counting(m):
+    def counting(m, *, with_u=True, with_v=True):
         calls.append((m.rows, m.cols))
-        return real(m)
+        if requests is not None:
+            requests.append((with_u, with_v))
+        return real(m, with_u=with_u, with_v=with_v)
 
     for module in (intmat, lattices, root_data, spherical):
         monkeypatch.setattr(module, "snf", counting)
@@ -152,7 +166,7 @@ class TestSnfBudget:
     def test_catalog_run_costs_parse_plus_two_per_p(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
         calls = snf_shapes(monkeypatch, run_entry, entry)
-        assert len(calls) == 3 + 2 * len(CHARACTERISTICS) == 11
+        assert len(calls) == 3 + 2 == 5
 
     def test_compute_strict_costs_two_after_parse(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -168,6 +182,43 @@ class TestSnfBudget:
         monkeypatch.setattr(cli, "parse", parse_then_count)
         assert cli.main(["compute", str(path), "--strict"]) == 0
         assert calls == [(2, 2), (6, 2)]
+
+
+V_ONLY = (False, True)
+NONE = (False, False)
+
+
+class TestCertificateRequests:
+    """Each internal Smith form asks only for the certificates its caller reads."""
+
+    def requests(self, monkeypatch, fn, arg):
+        requests = []
+        record_snf(monkeypatch, requests)
+        fn(arg)
+        return requests
+
+    def test_report_asks_for_v_of_colors_only(self, monkeypatch):
+        sd = group_case("A", 3)
+        assert self.requests(monkeypatch, full_report, sd) == [V_ONLY, NONE]
+
+    def test_validate_asks_for_v_only(self, monkeypatch):
+        twin = group_case("A", 4, factor=2)
+        assert self.requests(monkeypatch, validate, twin) == [V_ONLY]
+
+    @pytest.mark.parametrize("fn", [pi0_p_prime, pi1_p_prime])
+    def test_pi_asks_for_no_certificate(self, monkeypatch, fn):
+        assert self.requests(monkeypatch, fn, group_case("A", 3)) == [NONE]
+
+    def test_parse_asks_for_no_certificate(self, monkeypatch):
+        doc = catalog_entry("group_case_A2_adjoint").document
+        assert self.requests(monkeypatch, parse, doc) == [NONE] * 3
+
+    def test_catalog_run(self, monkeypatch):
+        entry = catalog_entry("group_case_A2_adjoint")
+        assert self.requests(monkeypatch, run_entry, entry) == [NONE] * 3 + [
+            V_ONLY,
+            NONE,
+        ]
 
 
 def random_unimodular(rng, n):
