@@ -37,3 +37,11 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _check_char_exponent(p: object) -> None:
+    """Raise ValueError unless p is the int 1 or a prime (a bool is neither)."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError(f"characteristic exponent must be a positive int, got {p!r}")
+    if p != 1 and not is_prime(p):
+        raise ValueError(f"characteristic exponent must be 1 or a prime, got {p}")

@@ -178,24 +178,21 @@ def serialize_datum(sd: SphericalDatum) -> str:
     return dumps_document(document_dict(sd))
 
 
-def format_quotient(q: FinGenAbQuotient) -> str:
+def _format_group(free: str, free_rank: int, factors: tuple[int, ...]) -> str:
+    """``free^free_rank x Z/d_1 x ...``, with ``1`` for the trivial group."""
     parts = []
-    if q.divisible_rank == 1:
-        parts.append("(Q/Z)")
-    elif q.divisible_rank > 1:
-        parts.append(f"(Q/Z)^{q.divisible_rank}")
-    parts.extend(f"Z/{d}" for d in q.invariant_factors)
+    if free_rank:
+        parts.append(free if free_rank == 1 else f"{free}^{free_rank}")
+    parts.extend(f"Z/{d}" for d in factors)
     return " x ".join(parts) if parts else "1"
+
+
+def format_quotient(q: FinGenAbQuotient) -> str:
+    return _format_group("(Q/Z)", q.divisible_rank, q.invariant_factors)
 
 
 def format_pi(pi: PiResult) -> str:
-    parts = []
-    if pi.zhat_rank == 1:
-        parts.append("Zhat_{p'}")
-    elif pi.zhat_rank > 1:
-        parts.append(f"Zhat_{{p'}}^{pi.zhat_rank}")
-    parts.extend(f"Z/{d}" for d in pi.invariant_factors)
-    return " x ".join(parts) if parts else "1"
+    return _format_group("Zhat_{p'}", pi.zhat_rank, pi.invariant_factors)
 
 
 def _quotient_dict(q: FinGenAbQuotient) -> dict:

@@ -1,14 +1,14 @@
-"""Exact integer matrices with certified Hermite and Smith normal forms.
+"""Exact integer matrices with a certified Smith normal form.
 
 Entries are plain Python ints, so intermediate values can grow without
-bound and nothing overflows silently.  The normal-form routines return
-the unimodular transformations alongside the form, which lets callers
+bound and nothing overflows silently.  ``snf(m)`` returns the unimodular
+transformations ``U`` and ``V`` alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
-multiplication.  ``snf(m)`` returns both ``U`` and ``V``; the keywords
-``with_u`` and ``with_v`` skip one or both.  The package's own calls ask
-only for what they read: the quotients, pi0, pi1 and every rank check
-take neither certificate, the coroot-span check, ``dual_saturation`` and
-``intersect`` take ``V`` only, and ``solve_in_lattice`` takes both.
+multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
+The pipeline asks only for what it reads: the quotients, pi0, pi1 and
+every rank check take neither certificate, and the coroot-span check and
+``dual_saturation`` take ``V`` only.  Both certificates are read only by
+the independent verification route, :mod:`spherical_pi.verify`.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -16,15 +16,9 @@ and the parsed embedding and colors, whose entries the parser has
 checked) skip the entry check; the public constructors
 ``IntMatrix(...)``, ``from_rows`` and ``from_cols`` keep it.
 
-Conventions, fixed once so that outputs are bit-reproducible:
-
-* ``snf`` produces ``U @ M @ V == S`` with S diagonal, diagonal entries
-  positive up to the rank and zero afterwards, and each diagonal entry
-  dividing the next.
-* ``hnf`` works on columns and produces ``M @ U == H`` in column echelon
-  form: the pivot row of each nonzero column is strictly below the pivot
-  row of the previous one, pivots are positive, and the other entries in
-  a pivot row are reduced into ``[0, pivot)``.  Zero columns trail.
+``snf`` produces ``U @ M @ V == S`` with S diagonal, diagonal entries
+positive up to the rank and zero afterwards, and each diagonal entry
+dividing the next, so outputs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -103,6 +97,8 @@ class IntMatrix:
         for c in cols:
             if len(c) != n:
                 raise DimensionError("columns have inconsistent lengths")
+        if rows is not None and rows != n:
+            raise DimensionError(f"expected {rows} entries per column, got {n}")
         return cls(n, len(cols), tuple(tuple(c[i] for c in cols) for i in range(n)))
 
     @classmethod
@@ -148,30 +144,6 @@ class IntMatrix:
             )
         return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if self.rows != self.cols:
-            raise DimensionError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if pivot_row is None:
-                    return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-
 
 def stack_rows(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
     """Vertical concatenation."""
@@ -200,14 +172,6 @@ class SnfResult:
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.S[i][i] for i in range(min(self.S.rows, self.S.cols)))
-
-
-@dataclass(frozen=True)
-class HnfResult:
-    """Column-style Hermite normal form ``M @ U == H`` with ``|det U| == 1``."""
-
-    H: IntMatrix
-    U: IntMatrix
 
 
 def _trusted_from_lists(mat: list[list[int]], cols: int) -> IntMatrix:
@@ -397,69 +361,3 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
         V=None if v is None else _trusted_from_lists(v, nc),
         rank=k,
     )
-
-
-def hnf(m: IntMatrix) -> HnfResult:
-    """Column-style Hermite normal form with its column transformation."""
-    nr, nc = m.rows, m.cols
-    h = [list(row) for row in m.entries]
-    u = _identity_list(nc)
-    col = 0
-    for row in range(nr):
-        if col == nc:
-            break
-        if not any(h[row][j] for j in range(col, nc)):
-            continue
-        while True:
-            nz = [j for j in range(col, nc) if h[row][j]]
-            j = min(nz, key=lambda t: abs(h[row][t]))
-            if j != col:
-                _swap_cols(h, col, j)
-                _swap_cols(u, col, j)
-            if h[row][col] < 0:
-                _negate_col(h, col)
-                _negate_col(u, col)
-            p = h[row][col]
-            leftover = False
-            for j in range(col + 1, nc):
-                q = h[row][j] // p
-                if q:
-                    _col_sub(h, j, col, q)
-                    _col_sub(u, j, col, q)
-                if h[row][j]:
-                    leftover = True
-            if not leftover:
-                break
-        p = h[row][col]
-        for j in range(col):
-            q = h[row][j] // p
-            if q:
-                _col_sub(h, j, col, q)
-                _col_sub(u, j, col, q)
-        col += 1
-    return HnfResult(
-        H=_trusted_from_lists(h, nc),
-        U=_trusted_from_lists(u, nc),
-    )
-
-
-def solve_in_lattice(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
-    """Integer solution ``x`` of ``m @ x == b``, or None when none exists."""
-    if len(b) != m.rows:
-        raise DimensionError(
-            f"right-hand side of length {len(b)} against {m.rows}x{m.cols} matrix"
-        )
-    for x in b:
-        _check_int(x)
-    res = snf(m)
-    c = res.U.mul_vec(tuple(b))
-    y = [0] * m.cols
-    for i in range(m.rows):
-        if i < res.rank:
-            si = res.S[i][i]
-            if c[i] % si:
-                return None
-            y[i] = c[i] // si
-        elif c[i]:
-            return None
-    return res.V.mul_vec(y)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intmat import DimensionError, IntMatrix, _check_int, snf
-from .lattices import FinGenAbQuotient, SaturatedSet, dual_saturation
 
 SIMPLY_CONNECTED = "simply-connected"
 ADJOINT = "adjoint"
@@ -185,35 +184,6 @@ def build_standard(
     if central_torus_rank:
         label += f" x T^{central_torus_rank}"
     return RootDatum(n + central_torus_rank, roots, coroots, label=label)
-
-
-def torus(rank: int, label: str | None = None) -> RootDatum:
-    """Datum of a torus: no roots, no coroots."""
-    return RootDatum(rank, (), (), label=label if label is not None else f"T^{rank}")
-
-
-def product(a: RootDatum, b: RootDatum) -> RootDatum:
-    """Direct product: lattices summed, roots and coroots padded with zeros."""
-    left = (0,) * a.rank
-    right = (0,) * b.rank
-    roots = tuple(v + right for v in a.simple_roots) + tuple(
-        left + v for v in b.simple_roots
-    )
-    coroots = tuple(v + right for v in a.simple_coroots) + tuple(
-        left + v for v in b.simple_coroots
-    )
-    label = f"{a.label} x {b.label}" if a.label and b.label else ""
-    return RootDatum(a.rank + b.rank, roots, coroots, label=label)
-
-
-def coroot_saturation(rd: RootDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:
-    """Rational characters integral against every simple coroot.
-
-    For an adjoint datum this recovers the weight lattice over the root
-    lattice, so the finite quotient is the fundamental group of the type;
-    the divisible rank equals the central torus rank.
-    """
-    return dual_saturation(rd.rank, rd.coroot_matrix())
 
 
 def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:

@@ -21,11 +21,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .arith import is_prime
+from .arith import _check_char_exponent
 from .intmat import DimensionError, IntMatrix, SnfResult, snf, stack_rows
 from .lattices import (
     FinGenAbQuotient,
     SaturatedSet,
+    _factor_chain,
     dual_saturation,
     p_prime_part,
     smith_quotient,
@@ -95,13 +96,6 @@ class SphericalDatum:
         return out
 
 
-def _check_char_exponent(p: object) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"characteristic exponent must be a positive int, got {p!r}")
-    if p != 1 and not is_prime(p):
-        raise ValueError(f"characteristic exponent must be 1 or a prime, got {p}")
-
-
 @dataclass(frozen=True)
 class PiResult:
     """Prime-to-p part of pi0 or pi1.
@@ -117,18 +111,12 @@ class PiResult:
     def __post_init__(self) -> None:
         if self.zhat_rank < 0:
             raise ValueError("zhat rank must be nonnegative")
-        factors = tuple(int(d) for d in self.invariant_factors)
+        _check_char_exponent(self.p)
+        factors = _factor_chain(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} is not >= 2")
             if self.p > 1 and d % self.p == 0:
                 raise ValueError(f"invariant factor {d} is divisible by p = {self.p}")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError(f"invariant factors {factors} are not a divisibility chain")
-        if self.p < 1 or (self.p != 1 and not is_prime(self.p)):
-            raise ValueError(f"characteristic exponent must be 1 or a prime, got {self.p}")
 
     @property
     def is_trivial(self) -> bool:

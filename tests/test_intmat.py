@@ -6,14 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from spherical_pi.intmat import (
-    DimensionError,
-    IntMatrix,
-    hnf,
-    snf,
-    solve_in_lattice,
-    stack_rows,
-)
+from spherical_pi.intmat import DimensionError, IntMatrix, snf, stack_rows
+from spherical_pi.verify import det, hnf, solve_in_lattice
 
 
 def mat(rows, cols=None):
@@ -53,8 +47,8 @@ def minors_gcd(m, t):
 
 def check_snf(m, res):
     assert (res.U @ m @ res.V) == res.S
-    assert abs(res.U.det()) == 1
-    assert abs(res.V.det()) == 1
+    assert abs(det(res.U)) == 1
+    assert abs(det(res.V)) == 1
     # S is diagonal with positive entries up to the rank, zero afterwards
     for i in range(res.S.rows):
         for j in range(res.S.cols):
@@ -77,7 +71,7 @@ def check_snf(m, res):
 
 def check_hnf(m, res):
     assert (m @ res.U) == res.H
-    assert abs(res.U.det()) == 1
+    assert abs(det(res.U)) == 1
     h = res.H
     pivots = []
     last_pivot_row = -1
@@ -123,6 +117,14 @@ class TestIntMatrix:
         assert w.rows == 2 and w.cols == 0
         assert IntMatrix.from_cols([], rows=2).cols == 0
 
+    def test_declared_length_must_match(self):
+        with pytest.raises(DimensionError):
+            IntMatrix.from_cols([[1, 2]], rows=3)
+        with pytest.raises(DimensionError):
+            IntMatrix.from_rows([[1, 2]], cols=3)
+        assert IntMatrix.from_cols([[1, 2]], rows=2) == mat([[1], [2]])
+        assert IntMatrix.from_rows([[1, 2]], cols=2) == mat([[1, 2]])
+
     def test_matmul_and_transpose(self):
         a = mat([[1, 2], [3, 4]])
         b = mat([[0, 1], [1, 0]])
@@ -138,17 +140,17 @@ class TestIntMatrix:
             a.mul_vec((1,))
 
     def test_det_known(self):
-        assert mat([[2, 4], [6, 8]]).det() == -8
-        assert IntMatrix.identity(4).det() == 1
-        assert IntMatrix.zeros(3, 3).det() == 0
-        assert IntMatrix.identity(0).det() == 1
+        assert det(mat([[2, 4], [6, 8]])) == -8
+        assert det(IntMatrix.identity(4)) == 1
+        assert det(IntMatrix.zeros(3, 3)) == 0
+        assert det(IntMatrix.identity(0)) == 1
 
     def test_det_matches_cofactor_formula(self):
         rng = random.Random(7)
         for _ in range(200):
             n = rng.randint(1, 3)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert mat(rows).det() == det_small(rows)
+            assert det(mat(rows)) == det_small(rows)
 
     def test_stack_rows(self):
         a = mat([[1, 2]])
@@ -180,7 +182,7 @@ class TestSnf:
         check_snf(m, res)
         # first divisor is the entry gcd, the product is |det|
         assert res.S[0][0] == math.gcd(2, 4, 6, 8)
-        assert res.S[0][0] * res.S[1][1] == abs(m.det())
+        assert res.S[0][0] * res.S[1][1] == abs(det(m))
 
     def test_empty_shapes(self):
         for m in (IntMatrix.from_rows([], cols=3), mat([[], []])):
@@ -401,7 +403,7 @@ class TestCertificateFlags:
             m = flag_case(rng, i)
             full = snf(m)
             assert full.U @ m @ full.V == full.S
-            assert abs(full.U.det()) == 1 and abs(full.V.det()) == 1
+            assert abs(det(full.U)) == 1 and abs(det(full.V)) == 1
             for with_u in (True, False):
                 for with_v in (True, False):
                     res = snf(m, with_u=with_u, with_v=with_v)

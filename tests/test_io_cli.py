@@ -17,8 +17,8 @@ from spherical_pi.documents import (
 )
 from spherical_pi.intmat import IntMatrix
 from spherical_pi.lattices import FinGenAbQuotient
-from spherical_pi.root_data import torus
 from spherical_pi.spherical import PiResult, SphericalDatum, full_report
+from spherical_pi.verify import torus
 
 
 def doc_text(**overrides):

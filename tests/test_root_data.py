@@ -14,11 +14,9 @@ from spherical_pi.root_data import (
     RootDatum,
     build_standard,
     cartan_matrix,
-    coroot_saturation,
-    product,
     restrict_coroots,
-    torus,
 )
+from spherical_pi.verify import coroot_saturation, product, torus
 
 # ---------------------------------------------------------------------------
 # Independent oracle: simple roots in their standard Euclidean realizations

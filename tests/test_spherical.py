@@ -8,18 +8,15 @@ import pytest
 from spherical_pi.intmat import DimensionError, IntMatrix, snf
 from spherical_pi.lattices import (
     FinGenAbQuotient,
-    Lattice,
     SaturatedSet,
     dual_saturation,
-    intersect,
-    quotient,
+    p_prime_part,
 )
 from spherical_pi.root_data import (
     ADJOINT,
     SIMPLY_CONNECTED,
     build_standard,
     restrict_coroots,
-    torus,
 )
 from spherical_pi.spherical import (
     PASS,
@@ -35,6 +32,14 @@ from spherical_pi.spherical import (
     pi0_p_prime,
     pi1_p_prime,
     validate,
+)
+from spherical_pi.verify import (
+    Lattice,
+    contains,
+    intersect,
+    quotient,
+    same_set,
+    torus,
 )
 
 
@@ -120,6 +125,22 @@ class TestSphericalDatum:
             sd.with_char_exponent(p)
         assert str(replaced.value) == str(built.value)
 
+    @pytest.mark.parametrize("p", [True, 0, -3, 4])
+    def test_every_entry_point_rejects_a_bad_p_alike(self, p):
+        sd = sl2_mod_normalizer(1)
+        calls = (
+            lambda: SphericalDatum(sd.root_datum, sd.lattice_embedding, sd.colors, p),
+            lambda: sd.with_char_exponent(p),
+            lambda: PiResult(0, (), p),
+            lambda: p_prime_part(FinGenAbQuotient(0, (2,)), p),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            messages.add(str(err.value))
+        assert len(messages) == 1, messages
+
 
 class TestValidate:
     def test_sl2_mod_normalizer_passes(self):
@@ -149,7 +170,7 @@ class TestColorSaturation:
     def test_sl2_mod_normalizer(self):
         sat, q = color_saturation(sl2_mod_normalizer())
         assert q == FinGenAbQuotient(0, (2,))
-        assert sat.contains((Fraction(1, 2),))
+        assert contains(sat, (Fraction(1, 2),))
 
     def test_sl2_mod_torus(self):
         _, q = color_saturation(sl2_mod_torus())
@@ -235,7 +256,7 @@ class TestGroupCases:
     def group_case_a2(self, p=1):
         # adjoint type A2 as a homogeneous space for two copies of itself:
         # antidiagonal root lattice, colors = rows of the A2 Cartan matrix
-        from spherical_pi.root_data import product
+        from spherical_pi.verify import product
 
         rd = product(
             build_standard("A", 2, ADJOINT, 0), build_standard("A", 2, ADJOINT, 0)
@@ -261,7 +282,8 @@ class TestGroupCases:
         # the adjoint group of the type as a homogeneous space for two
         # copies of the simply connected group: the isotropy group picks
         # up the center as its component group
-        from spherical_pi.root_data import cartan_matrix, product
+        from spherical_pi.root_data import cartan_matrix
+        from spherical_pi.verify import product
 
         rd = product(
             build_standard(series, rank, SIMPLY_CONNECTED, 0),
@@ -400,9 +422,9 @@ class TestContainmentProperties:
             assert amb_q.divisible_rank == 0, name
             for i in range(sd.rank):
                 e = tuple(int(i == j) for j in range(sd.rank))
-                assert amb_sat.contains(e), name
+                assert contains(amb_sat, e), name
             for v in amb_sat.finite_direction_basis:
-                assert sat.contains(v), name
+                assert contains(sat, v), name
             # each invariant factor of the subgroup divides a slot of the
             # big quotient, profinite slots absorbing anything
             small = sorted(amb_q.invariant_factors, reverse=True)
@@ -472,4 +494,4 @@ class TestIntermediateLatticeInvariance:
                 tuple(transform(v) for v in sat2.finite_direction_basis),
                 tuple(transform(v) for v in sat2.divisible_subspace_basis),
             )
-            assert transformed.same_set(sat), name
+            assert same_set(transformed, sat), name
