@@ -27,10 +27,22 @@ def _vec(entries: Iterable, length: int | None = None) -> Vector:
     return v
 
 
+def _check_rank(n: object, name: str) -> None:
+    """Raise unless n is a nonnegative int (a bool is not)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
+
+
 def _factor_chain(factors: Iterable[int]) -> tuple[int, ...]:
-    """The factors as ints, checked to be >= 2 and an ascending divisibility chain."""
-    chain = tuple(int(d) for d in factors)
+    """The factors as a tuple of ints >= 2 forming an ascending divisibility chain."""
+    chain = tuple(factors)
     for d in chain:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise TypeError(
+                f"invariant factors must be ints, got {type(d).__name__}"
+            )
         if d < 2:
             raise ValueError(f"invariant factor {d} is not >= 2")
     for a, b in zip(chain, chain[1:]):
@@ -51,8 +63,7 @@ class FinGenAbQuotient:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.divisible_rank < 0:
-            raise ValueError("divisible rank must be nonnegative")
+        _check_rank(self.divisible_rank, "divisible rank")
         object.__setattr__(
             self, "invariant_factors", _factor_chain(self.invariant_factors)
         )

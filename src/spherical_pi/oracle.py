@@ -1,11 +1,14 @@
 """Brute-force verification of quotient structure by direct enumeration.
 
 Independent of the normal-form pipeline: the N-torsion of a saturation
-quotient is enumerated point by point in (1/N)Z^r / Z^r and compared,
+quotient is enumerated exhaustively in (1/N)Z^r / Z^r and compared,
 order histogram against order histogram, with the prediction coming out
-of the invariant factors.  Order histograms determine finite abelian
-groups of exponent dividing N up to isomorphism, so a histogram match is
-an isomorphism check without constructing the isomorphism.
+of the invariant factors.  The search meets in the middle, so it touches
+N^floor(r/2) + N^ceil(r/2) points; ``ENUMERATION_BUDGET`` bounds the
+grid N^r, and so the element list, which is the whole grid when there
+are no functionals.  Order histograms determine finite abelian groups of
+exponent dividing N up to isomorphism, so a histogram match is an
+isomorphism check without constructing the isomorphism.
 """
 
 from __future__ import annotations
@@ -42,8 +45,14 @@ class TorsionGroupSample:
 def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSample:
     """All x in (1/modulus)Z^r / Z^r with every functional integral on x.
 
-    Walks the full grid of numerator vectors, so the budget guard
-    ``modulus ** r <= 10**7`` is enforced up front.
+    Meets in the middle: every numerator vector is a = (prefix, suffix),
+    split after the first h = r // 2 columns, and F a = 0 mod modulus
+    exactly when the residue of the suffix is the negative of the residue
+    of the prefix.  The suffixes are walked once and filed by residue,
+    then each prefix picks out its partners, so the walk touches
+    ``modulus**h + modulus**(r - h)`` points and no Smith form is used.
+    ``ENUMERATION_BUDGET`` still bounds the whole grid ``modulus**r``,
+    since with no functionals every grid point is an element.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
@@ -57,22 +66,31 @@ def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSampl
     cols = [
         tuple(functionals[i][j] % modulus for i in range(m)) for j in range(r)
     ]
+
+    def partial_sums(
+        block: list[tuple[int, ...]],
+    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        # every numerator vector over the block's columns, in lexicographic
+        # order, with its residue F a mod modulus
+        sums = [((), (0,) * m)]
+        for col in block:
+            extended = []
+            for head, acc in sums:
+                cur = acc
+                for a in range(modulus):
+                    extended.append((head + (a,), cur))
+                    cur = tuple((x + y) % modulus for x, y in zip(cur, col))
+            sums = extended
+        return sums
+
+    h = r // 2
+    suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for suffix, residue in partial_sums(cols[h:]):
+        suffixes.setdefault(residue, []).append(suffix)
     elements: list[tuple[int, ...]] = []
-    prefix = [0] * r
-
-    def walk(j: int, acc: tuple[int, ...]) -> None:
-        if j == r:
-            if not any(acc):
-                elements.append(tuple(prefix))
-            return
-        col = cols[j]
-        cur = acc
-        for a in range(modulus):
-            prefix[j] = a
-            walk(j + 1, cur)
-            cur = tuple((x + y) % modulus for x, y in zip(cur, col))
-
-    walk(0, (0,) * m)
+    for prefix, residue in partial_sums(cols[:h]):
+        partners = suffixes.get(tuple(-x % modulus for x in residue), ())
+        elements.extend(prefix + suffix for suffix in partners)
     histogram = Counter(
         modulus // gcd(modulus, *e) if e else 1 for e in elements
     )

@@ -26,6 +26,7 @@ from .intmat import DimensionError, IntMatrix, SnfResult, snf, stack_rows
 from .lattices import (
     FinGenAbQuotient,
     SaturatedSet,
+    _check_rank,
     _factor_chain,
     dual_saturation,
     p_prime_part,
@@ -109,8 +110,7 @@ class PiResult:
     p: int
 
     def __post_init__(self) -> None:
-        if self.zhat_rank < 0:
-            raise ValueError("zhat rank must be nonnegative")
+        _check_rank(self.zhat_rank, "zhat rank")
         _check_char_exponent(self.p)
         factors = _factor_chain(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)

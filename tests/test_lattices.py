@@ -75,6 +75,16 @@ class TestFinGenAbQuotient:
         with pytest.raises(ValueError):
             FinGenAbQuotient(-1, ())
 
+    @pytest.mark.parametrize("factor", [4.9, 4.0, Fraction(4), "4", True])
+    def test_rejects_a_factor_that_is_not_an_int(self, factor):
+        with pytest.raises(TypeError):
+            FinGenAbQuotient(0, (factor,))
+
+    @pytest.mark.parametrize("rank", [0.5, 1.0, "1", True, False])
+    def test_rejects_a_rank_that_is_not_an_int(self, rank):
+        with pytest.raises(TypeError):
+            FinGenAbQuotient(rank, ())
+
     def test_infinite_order(self):
         with pytest.raises(ValueError):
             FinGenAbQuotient(1, ()).order()

@@ -239,6 +239,13 @@ class TestPiResults:
         with pytest.raises(ValueError):
             PiResult(-1, (), 1)
 
+    @pytest.mark.parametrize(
+        "zhat_rank, factors", [(True, ()), (0.5, ()), (0, (4.9,)), (0, (True,))]
+    )
+    def test_pi_result_rejects_what_is_not_an_int(self, zhat_rank, factors):
+        with pytest.raises(TypeError):
+            PiResult(zhat_rank, factors, 1)
+
     def test_report_rejects_profinite_pi0(self):
         sd = torus_datum(1)
         with pytest.raises(ValueError):
