@@ -12,7 +12,8 @@ import sys
 
 from .catalog import catalog, catalog_entry, run_entry
 from .documents import ParseError, format_pi, parse, serialize_report
-from .lattices import dual_saturation
+from .intmat import snf
+from .lattices import smith_quotient
 from .oracle import enumerate_torsion, structure_match
 from .spherical import ValidationError, _require_pass, full_report, validate
 
@@ -90,7 +91,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     sd = _load(args.file)
     sample = enumerate_torsion(sd.colors, args.torsion)
-    _, predicted = dual_saturation(sd.rank, sd.colors)
+    predicted = smith_quotient(snf(sd.colors, with_u=False, with_v=False))
     result = structure_match(sample, predicted, args.torsion)
     print(f"torsion modulus: {args.torsion}")
     print(f"elements: {len(sample.elements)}")

@@ -37,6 +37,10 @@ from .lattices import FinGenAbQuotient
 from .root_data import ADJOINT, SIMPLY_CONNECTED, RootDatum, build_standard
 from .spherical import PiResult, Report, SphericalDatum
 
+# largest total rank a document may declare: a few bytes of text would
+# otherwise make parse build rank-sized matrices
+MAX_RANK = 512
+
 _TOP_KEYS = {"label", "p", "root_datum", "lattice", "colors"}
 _STANDARD_KEYS = {"type", "rank", "isogeny", "central_torus_rank"}
 _EXPLICIT_KEYS = {"rank", "simple_roots", "simple_coroots"}
@@ -87,6 +91,11 @@ def _expect_vector_list(value: Any, where: str, length: int) -> list[tuple[int, 
     return [_expect_vector(v, f"{where}[{i}]", length) for i, v in enumerate(value)]
 
 
+def _check_rank_cap(rank: int, what: str) -> None:
+    if rank > MAX_RANK:
+        raise ParseError(f"{what} is {rank}, above the cap of {MAX_RANK}")
+
+
 def _parse_root_datum(raw: Any) -> RootDatum:
     obj = _expect_object(raw, "root_datum")
     if set(obj) == {"standard"}:
@@ -103,6 +112,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
         ctr = _expect_int(
             std["central_torus_rank"], "root_datum.standard.central_torus_rank"
         )
+        _check_rank_cap(rank + ctr, "'root_datum.standard' rank + central_torus_rank")
         try:
             return build_standard(series, rank, isogeny, ctr)
         except (ValueError, DimensionError) as exc:
@@ -111,6 +121,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
         exp = _expect_object(obj["explicit"], "root_datum.explicit")
         _expect_keys(exp, _EXPLICIT_KEYS, _EXPLICIT_KEYS, "'root_datum.explicit'")
         rank = _expect_int(exp["rank"], "root_datum.explicit.rank")
+        _check_rank_cap(rank, "'root_datum.explicit.rank'")
         roots = _expect_vector_list(
             exp["simple_roots"], "root_datum.explicit.simple_roots", rank
         )

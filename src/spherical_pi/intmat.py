@@ -18,7 +18,11 @@ checked) skip the entry check; the public constructors
 
 ``snf`` produces ``U @ M @ V == S`` with S diagonal, diagonal entries
 positive up to the rank and zero afterwards, and each diagonal entry
-dividing the next, so outputs are bit-reproducible.
+dividing the next, so outputs are bit-reproducible.  The certificates
+are blocks of the one matrix that the elimination works on,
+``[[M | I_nr], [I_nc]]``: row operations on the rows of ``M`` carry the
+``U`` block along and column operations on the columns of ``M`` carry
+the ``V`` block along, and a skipped certificate has no block.
 """
 
 from __future__ import annotations
@@ -49,11 +53,12 @@ class IntMatrix:
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise DimensionError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows:
-            raise DimensionError(
-                f"expected {self.rows} rows, got {len(self.entries)}"
-            )
-        for row in self.entries:
+        # stored as a tuple of tuples whatever sequences came in
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != self.rows:
+            raise DimensionError(f"expected {self.rows} rows, got {len(entries)}")
+        for row in entries:
             if len(row) != self.cols:
                 raise DimensionError(
                     f"expected {self.cols} entries per row, got {len(row)}"
@@ -196,12 +201,6 @@ def _row_sub(mat: list[list[int]], i: int, k: int, q: int) -> None:
     mat[i] = [a - q * b for a, b in zip(mat[i], rk)]
 
 
-def _row_add(mat: list[list[int]], i: int, k: int) -> None:
-    # row_i += row_k
-    rk = mat[k]
-    mat[i] = [a + b for a, b in zip(mat[i], rk)]
-
-
 def _swap_cols(mat: list[list[int]], i: int, j: int) -> None:
     for row in mat:
         row[i], row[j] = row[j], row[i]
@@ -233,20 +232,15 @@ def _smallest_entry(s: list[list[int]], k: int, nr: int, nc: int) -> tuple[int, 
     return best
 
 
-def _reduce_pivot_col(
-    s: list[list[int]], u: list[list[int]] | None, k: int, nr: int
-) -> bool:
+def _reduce_pivot_col(s: list[list[int]], k: int, nr: int) -> bool:
     """Zero the entries below the pivot s[k][k] by unimodular row operations.
 
-    Applies each row operation to ``u`` too, unless it is None.  Keeps the
-    pivot positive; returns True when anything changed.
+    Keeps the pivot positive; returns True when anything changed.
     """
     changed = False
     while True:
         if s[k][k] < 0:
             _negate_row(s, k)
-            if u is not None:
-                _negate_row(u, k)
             changed = True
         below = [i for i in range(k + 1, nr) if s[i][k]]
         if not below:
@@ -257,28 +251,20 @@ def _reduce_pivot_col(
             q = s[i][k] // p
             if q:
                 _row_sub(s, i, k, q)
-                if u is not None:
-                    _row_sub(u, i, k, q)
         below = [i for i in range(k + 1, nr) if s[i][k]]
         if not below:
             return changed
         # the smallest remainder becomes the new, strictly smaller pivot
         i = min(below, key=lambda t: s[t][k])
         _swap_rows(s, k, i)
-        if u is not None:
-            _swap_rows(u, k, i)
 
 
-def _reduce_pivot_row(
-    s: list[list[int]], v: list[list[int]] | None, k: int, nc: int
-) -> bool:
+def _reduce_pivot_row(s: list[list[int]], k: int, nc: int) -> bool:
     """Column-operation mirror of ``_reduce_pivot_col``."""
     changed = False
     while True:
         if s[k][k] < 0:
             _negate_col(s, k)
-            if v is not None:
-                _negate_col(v, k)
             changed = True
         right = [j for j in range(k + 1, nc) if s[k][j]]
         if not right:
@@ -289,15 +275,11 @@ def _reduce_pivot_row(
             q = s[k][j] // p
             if q:
                 _col_sub(s, j, k, q)
-                if v is not None:
-                    _col_sub(v, j, k, q)
         right = [j for j in range(k + 1, nc) if s[k][j]]
         if not right:
             return changed
         j = min(right, key=lambda t: s[k][t])
         _swap_cols(s, k, j)
-        if v is not None:
-            _swap_cols(v, k, j)
 
 
 def _non_divisible_entry(
@@ -320,15 +302,21 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
     Works for any shape, including empty matrices.  Pivots are chosen as
     the smallest nonzero entry of the trailing submatrix, which keeps
     intermediate growth moderate without changing the (unique) result.
-    ``with_u=False`` skips the row updates of ``U`` and ``with_v=False``
-    the column updates of ``V``; a skipped certificate is None.  Pivots
-    depend on ``S`` alone, so ``S``, ``rank`` and a kept certificate are
-    the same as those of the full call.
+    The elimination runs once on the working rows ``[[M | I_nr], [I_nc]]``:
+    ``with_u`` appends an identity block to the right of the rows of
+    ``M``, so every row operation also builds ``U``, and ``with_v``
+    appends ``nc`` identity rows below, so every column operation also
+    builds ``V``.  A skipped certificate has no block and is None.
+    Pivots are read off the ``M`` block alone, so ``S``, ``rank`` and a
+    kept certificate are the same as those of the full call.  At the end
+    ``S`` is the top-left block, ``U`` the top-right and ``V`` the bottom.
     """
     nr, nc = m.rows, m.cols
     s = [list(row) for row in m.entries]
-    u = _identity_list(nr) if with_u else None
-    v = _identity_list(nc) if with_v else None
+    if with_u:
+        s = [row + e for row, e in zip(s, _identity_list(nr))]
+    if with_v:
+        s += _identity_list(nc)
     k = 0
     while k < min(nr, nc):
         pivot = _smallest_entry(s, k, nr, nc)
@@ -337,27 +325,21 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
         pi, pj = pivot
         if pi != k:
             _swap_rows(s, k, pi)
-            if u is not None:
-                _swap_rows(u, k, pi)
         if pj != k:
             _swap_cols(s, k, pj)
-            if v is not None:
-                _swap_cols(v, k, pj)
         while True:
-            while _reduce_pivot_col(s, u, k, nr) or _reduce_pivot_row(s, v, k, nc):
+            while _reduce_pivot_col(s, k, nr) or _reduce_pivot_row(s, k, nc):
                 pass
             bad = _non_divisible_entry(s, k, nr, nc)
             if bad is None:
                 break
             # fold the offending row into the pivot row; re-clearing shrinks
             # the pivot to a proper divisor, so this terminates
-            _row_add(s, k, bad[0])
-            if u is not None:
-                _row_add(u, k, bad[0])
+            _row_sub(s, k, bad[0], -1)
         k += 1
     return SnfResult(
-        S=_trusted_from_lists(s, nc),
-        U=None if u is None else _trusted_from_lists(u, nr),
-        V=None if v is None else _trusted_from_lists(v, nc),
+        S=_trusted_from_lists([row[:nc] for row in s[:nr]], nc),
+        U=_trusted_from_lists([row[nc:] for row in s[:nr]], nr) if with_u else None,
+        V=_trusted_from_lists(s[nr:], nc) if with_v else None,
         rank=k,
     )

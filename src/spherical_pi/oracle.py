@@ -42,6 +42,14 @@ class TorsionGroupSample:
     order_histogram: dict[int, int]
 
 
+def _check_modulus(modulus: object) -> None:
+    """Raise unless the modulus is an int >= 1 (a bool is not an int here)."""
+    if not isinstance(modulus, int) or isinstance(modulus, bool):
+        raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+
+
 def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSample:
     """All x in (1/modulus)Z^r / Z^r with every functional integral on x.
 
@@ -54,8 +62,7 @@ def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSampl
     ``ENUMERATION_BUDGET`` still bounds the whole grid ``modulus**r``,
     since with no functionals every grid point is an element.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    _check_modulus(modulus)
     r = functionals.cols
     m = functionals.rows
     if modulus**r > ENUMERATION_BUDGET:
@@ -130,8 +137,7 @@ def structure_match(
     True exactly when the sample's order histogram equals that of the
     modulus-torsion of the predicted group.
     """
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    _check_modulus(modulus)
     predicted_hist = _predicted_histogram(predicted, modulus)
     sample_hist = {e: c for e, c in sample.order_histogram.items() if c}
     if predicted_hist == sample_hist:

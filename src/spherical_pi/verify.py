@@ -11,7 +11,9 @@ root data ``torus``, ``product`` and ``coroot_saturation``.
 ``hnf`` works on columns and produces ``M @ U == H`` in column echelon
 form: the pivot row of each nonzero column is strictly below the pivot
 row of the previous one, pivots are positive, and the other entries in
-a pivot row are reduced into ``[0, pivot)``.  Zero columns trail.
+a pivot row are reduced into ``[0, pivot)``.  Zero columns trail.  The
+column operations run once on ``[M; I]``, whose top ``nr`` rows end as
+``H`` and whose bottom ``nc`` rows end as ``U``.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class HnfResult:
 def hnf(m: IntMatrix) -> HnfResult:
     """Column-style Hermite normal form with its column transformation."""
     nr, nc = m.rows, m.cols
-    h = [list(row) for row in m.entries]
-    u = _identity_list(nc)
+    # columns of [M; I] carry U along below H
+    h = [list(row) for row in m.entries] + _identity_list(nc)
     col = 0
     for row in range(nr):
         if col == nc:
@@ -92,17 +94,14 @@ def hnf(m: IntMatrix) -> HnfResult:
             j = min(nz, key=lambda t: abs(h[row][t]))
             if j != col:
                 _swap_cols(h, col, j)
-                _swap_cols(u, col, j)
             if h[row][col] < 0:
                 _negate_col(h, col)
-                _negate_col(u, col)
             p = h[row][col]
             leftover = False
             for j in range(col + 1, nc):
                 q = h[row][j] // p
                 if q:
                     _col_sub(h, j, col, q)
-                    _col_sub(u, j, col, q)
                 if h[row][j]:
                     leftover = True
             if not leftover:
@@ -112,11 +111,10 @@ def hnf(m: IntMatrix) -> HnfResult:
             q = h[row][j] // p
             if q:
                 _col_sub(h, j, col, q)
-                _col_sub(u, j, col, q)
         col += 1
     return HnfResult(
-        H=_trusted_from_lists(h, nc),
-        U=_trusted_from_lists(u, nc),
+        H=_trusted_from_lists(h[:nr], nc),
+        U=_trusted_from_lists(h[nr:], nc),
     )
 
 

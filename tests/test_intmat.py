@@ -1,5 +1,6 @@
 """Exact integer matrix machinery: construction, SNF, HNF, solving."""
 
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -109,6 +110,16 @@ class TestIntMatrix:
             mat([[1.5]])
         with pytest.raises(TypeError):
             mat([[True]])
+
+    def test_checked_constructor_stores_tuples(self):
+        listed = IntMatrix(2, 1, [[1], [2]])
+        tupled = IntMatrix(2, 1, ((1,), (2,)))
+        assert listed.entries == ((1,), (2,))
+        assert type(listed.entries) is tuple
+        assert all(type(row) is tuple for row in listed.entries)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert stack_rows(tupled, listed) == stack_rows(listed, tupled)
+        assert stack_rows(listed, tupled).entries == ((1,), (2,), (1,), (2,))
 
     def test_empty_shapes(self):
         z = IntMatrix.from_rows([], cols=3)
@@ -414,6 +425,56 @@ class TestCertificateFlags:
     def test_flags_are_keyword_only(self):
         with pytest.raises(TypeError):
             snf(mat([[1]]), False)
+
+
+def kernel_cases():
+    """Seeded inputs of every shape the flag tests cover, plus 1 x 1 matrices."""
+    rng = random.Random(8008)
+    cases = [flag_case(rng, i) for i in range(160)]
+    cases += [mat([[x]]) for x in (0, 1, -1, 6, -(1 << 200) - 3)]
+    return cases
+
+
+def kernel_digest(outputs):
+    h = hashlib.sha256()
+    for out in outputs:
+        h.update(repr(out).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def entries(m):
+    return None if m is None else m.entries
+
+
+class TestKernelOutputsArePinned:
+    """``snf`` and ``hnf`` give exactly the outputs pinned below.
+
+    The digests are sha256 of the repr of every output on ``kernel_cases``,
+    recorded from the kernels that updated ``U`` and ``V`` as separate
+    matrices; the block layout must reproduce them bit for bit.
+    """
+
+    SNF_SHA256 = "6931f96afef6ad2175dfc99e20ed486d5e268403193e072b5d3ba52ed58a5f1f"
+    HNF_SHA256 = "cd5f28a125cba20feb74e3124646b7688d6fcfabdc4f15b56c980b366ce17e8c"
+
+    def test_snf_under_every_flag_combination(self):
+        outputs = []
+        for m in kernel_cases():
+            for with_u in (True, False):
+                for with_v in (True, False):
+                    res = snf(m, with_u=with_u, with_v=with_v)
+                    outputs.append(
+                        (res.S.entries, entries(res.U), entries(res.V), res.rank)
+                    )
+        assert kernel_digest(outputs) == self.SNF_SHA256
+
+    def test_hnf(self):
+        outputs = []
+        for m in kernel_cases():
+            res = hnf(m)
+            outputs.append((res.H.entries, res.U.entries))
+        assert kernel_digest(outputs) == self.HNF_SHA256
 
 
 def test_diagonal_agrees_with_sympy():

@@ -7,6 +7,7 @@ import pytest
 from spherical_pi.catalog import CHARACTERISTICS, catalog, catalog_entry, run_entry
 from spherical_pi.cli import main
 from spherical_pi.documents import (
+    MAX_RANK,
     ParseError,
     format_pi,
     format_quotient,
@@ -109,6 +110,29 @@ class TestParse:
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match="line"):
             parse("{\n  broken\n}")
+
+    def test_rank_cap(self):
+        # an explicit torus with an empty lattice builds nothing rank-sized
+        def torus(rank):
+            explicit = {"rank": rank, "simple_roots": [], "simple_coroots": []}
+            return doc_text(
+                root_datum={"explicit": explicit}, lattice=[], colors=[]
+            )
+
+        assert parse(torus(MAX_RANK)).root_datum.rank == MAX_RANK
+        with pytest.raises(ParseError, match="explicit.rank' is 513, above the cap"):
+            parse(torus(MAX_RANK + 1))
+
+    @pytest.mark.parametrize("rank, ctr", [(1, 512), (500, 13), (1, 2_000_000)])
+    def test_standard_rank_cap_counts_the_central_torus(self, rank, ctr):
+        std = {
+            "type": "A",
+            "rank": rank,
+            "isogeny": "simply-connected",
+            "central_torus_rank": ctr,
+        }
+        with pytest.raises(ParseError, match=f"is {rank + ctr}, above the cap"):
+            parse(doc_text(root_datum={"standard": std}))
 
     def test_rank_deficient_embedding_is_structural(self):
         doc = {
@@ -275,6 +299,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "structure match: yes" in out
         assert "order 2: 1" in out
+
+    def test_rank_above_the_cap_exits_2(self, tmp_path, capsys):
+        std = {
+            "type": "A",
+            "rank": 1,
+            "isogeny": "adjoint",
+            "central_torus_rank": MAX_RANK,
+        }
+        path = self.write(tmp_path, doc_text(root_datum={"standard": std}))
+        commands = (
+            ["compute", path],
+            ["validate", path],
+            ["oracle", path, "--torsion", "2"],
+        )
+        for argv in commands:
+            assert main(argv) == 2
+            assert "above the cap of 512" in capsys.readouterr().err
 
     def test_oracle_budget_error(self, tmp_path, capsys):
         path = self.write(tmp_path, catalog_entry("torus_rank_2").document)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -83,6 +84,11 @@ class TestEnumerateTorsion:
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             enumerate_torsion(mat([[1]]), 0)
+
+    @pytest.mark.parametrize("modulus", [True, 2.0, "2", Fraction(2)])
+    def test_modulus_must_be_an_int(self, modulus):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            enumerate_torsion(mat([[1]]), modulus)
 
     def test_lexicographic_order(self):
         sample = enumerate_torsion(IntMatrix.from_rows([], cols=2), 3)
@@ -274,3 +280,9 @@ class TestStructureMatch:
         sample = enumerate_torsion(mat([[1]]), 1)
         with pytest.raises(ValueError):
             structure_match(sample, FinGenAbQuotient(0, ()), 0)
+
+    @pytest.mark.parametrize("modulus", [True, 1.0, "1", Fraction(1)])
+    def test_modulus_must_be_an_int(self, modulus):
+        sample = enumerate_torsion(mat([[1]]), 1)
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            structure_match(sample, FinGenAbQuotient(0, ()), modulus)

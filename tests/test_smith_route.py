@@ -13,10 +13,11 @@ combination of colors.  Random data come from seeded ``random`` draws.
 
 import random
 import re
+import sys
 
 import pytest
 
-from spherical_pi import cli, intmat, lattices, root_data, spherical
+from spherical_pi import cli, intmat
 from spherical_pi.catalog import catalog_entry, run_entry
 from spherical_pi.documents import parse
 from spherical_pi.intmat import IntMatrix, snf
@@ -117,6 +118,9 @@ class TestSpanCheckAgainstReference:
 def record_snf(monkeypatch, requests=None):
     """List that collects the shape of every matrix handed to snf, from any module.
 
+    Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
+    a new caller cannot escape the count.
+
     ``requests``, when given, collects the certificate keywords
     ``(with_u, with_v)`` of every call.
     """
@@ -129,8 +133,10 @@ def record_snf(monkeypatch, requests=None):
             requests.append((with_u, with_v))
         return real(m, with_u=with_u, with_v=with_v)
 
-    for module in (intmat, lattices, root_data, spherical):
-        monkeypatch.setattr(module, "snf", counting)
+    for name, module in list(sys.modules.items()):
+        in_package = name == "spherical_pi" or name.startswith("spherical_pi.")
+        if in_package and getattr(module, "snf", None) is real:
+            monkeypatch.setattr(module, "snf", counting)
     return calls
 
 
@@ -211,6 +217,15 @@ class TestCertificateRequests:
     def test_parse_asks_for_no_certificate(self, monkeypatch):
         doc = catalog_entry("group_case_A2_adjoint").document
         assert self.requests(monkeypatch, parse, doc) == [NONE] * 3
+
+    def test_cli_oracle_asks_for_no_certificate(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(catalog_entry("group_case_A2_adjoint").document)
+        requests = []
+        record_snf(monkeypatch, requests)
+        assert cli.main(["oracle", str(path), "--torsion", "3"]) == 0
+        # parse, then the quotient of the colors
+        assert requests == [NONE] * 3 + [NONE]
 
     def test_catalog_run(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
