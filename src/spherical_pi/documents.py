@@ -30,6 +30,7 @@ bit-exactly and diff cleanly.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .intmat import DimensionError, IntMatrix
@@ -40,6 +41,10 @@ from .spherical import PiResult, Report, SphericalDatum
 # largest total rank a document may declare: a few bytes of text would
 # otherwise make parse build rank-sized matrices
 MAX_RANK = 512
+# largest number of colors and largest entry size in bits: the cost of a
+# report grows with both, so a long document cannot make it unbounded
+MAX_COLORS = 2 * MAX_RANK
+MAX_ENTRY_BITS = 256
 
 _TOP_KEYS = {"label", "p", "root_datum", "lattice", "colors"}
 _STANDARD_KEYS = {"type", "rank", "isogeny", "central_torus_rank"}
@@ -78,16 +83,32 @@ def _expect_str(value: Any, where: str) -> str:
 
 
 def _expect_vector(value: Any, where: str, length: int) -> tuple[int, ...]:
+    """The entries as a tuple of ints of at most ``MAX_ENTRY_BITS`` bits."""
     if not isinstance(value, list):
         raise ParseError(f"'{where}' must be a list of integers")
     if len(value) != length:
         raise ParseError(f"'{where}' has length {len(value)}, expected {length}")
-    return tuple(_expect_int(x, f"{where}[{j}]") for j, x in enumerate(value))
+    for j, x in enumerate(value):
+        # JSON numbers decode to exact ints, so only an offender pays for
+        # the message
+        if type(x) is not int:
+            _expect_int(x, f"{where}[{j}]")
+    if value and max(max(value), -min(value)).bit_length() > MAX_ENTRY_BITS:
+        bits = [abs(x).bit_length() for x in value]
+        j = next(j for j, b in enumerate(bits) if b > MAX_ENTRY_BITS)
+        raise ParseError(
+            f"'{where}[{j}]' has {bits[j]} bits, above the cap of {MAX_ENTRY_BITS}"
+        )
+    return tuple(value)
 
 
-def _expect_vector_list(value: Any, where: str, length: int) -> list[tuple[int, ...]]:
+def _expect_vector_list(
+    value: Any, where: str, length: int, cap: int | None = None
+) -> list[tuple[int, ...]]:
     if not isinstance(value, list):
         raise ParseError(f"'{where}' must be a list of integer vectors")
+    if cap is not None and len(value) > cap:
+        raise ParseError(f"'{where}' has {len(value)} rows, above the cap of {cap}")
     return [_expect_vector(v, f"{where}[{i}]", length) for i, v in enumerate(value)]
 
 
@@ -129,7 +150,10 @@ def _parse_root_datum(raw: Any) -> RootDatum:
             exp["simple_coroots"], "root_datum.explicit.simple_coroots", rank
         )
         try:
-            return RootDatum(rank, tuple(roots), tuple(coroots), label="explicit")
+            # _expect_vector checked every entry already
+            return RootDatum._checked_entries(
+                rank, tuple(roots), tuple(coroots), label="explicit"
+            )
         except (ValueError, DimensionError) as exc:
             raise ParseError(f"'root_datum.explicit': {exc}") from exc
     raise ParseError(
@@ -145,6 +169,14 @@ def parse(text: str) -> SphericalDatum:
         raise ParseError(
             f"syntax error: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except ValueError as exc:
+        # the decoder refuses integer literals above the interpreter's limit
+        raise ParseError(
+            "an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise ParseError("the document nests too deeply to read") from exc
     obj = _expect_object(raw, "document")
     _expect_keys(obj, _TOP_KEYS, _TOP_KEYS, "the document")
     label = _expect_str(obj["label"], "label")
@@ -152,7 +184,7 @@ def parse(text: str) -> SphericalDatum:
     rd = _parse_root_datum(obj["root_datum"])
     generators = _expect_vector_list(obj["lattice"], "lattice", rd.rank)
     r = len(generators)
-    color_rows = _expect_vector_list(obj["colors"], "colors", r)
+    color_rows = _expect_vector_list(obj["colors"], "colors", r, MAX_COLORS)
     # _expect_vector checked every entry and length already
     embedding = IntMatrix._trusted(r, rd.rank, tuple(generators)).transpose()
     colors = IntMatrix._trusted(len(color_rows), r, tuple(color_rows))

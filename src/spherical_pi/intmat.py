@@ -5,10 +5,12 @@ bound and nothing overflows silently.  ``snf(m)`` returns the unimodular
 transformations ``U`` and ``V`` alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
 multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
-The pipeline asks only for what it reads: the quotients, pi0, pi1 and
-every rank check take neither certificate, and the coroot-span check and
-``dual_saturation`` take ``V`` only.  Both certificates are read only by
-the independent verification route, :mod:`spherical_pi.verify`.
+The pipeline asks only for what it reads.  The colors' Smith form takes
+``V`` only, because the coroot-span check and the ambient quotient (and
+so pi0) read it, and so does ``dual_saturation``.  pi1, the reduced
+ambient form and every rank check take neither certificate.  Both
+certificates are read only by the independent verification route,
+:mod:`spherical_pi.verify`.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,

@@ -86,12 +86,37 @@ class RootDatum:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise DimensionError("rank must be nonnegative")
         roots = tuple(tuple(_check_int(x) for x in v) for v in self.simple_roots)
         coroots = tuple(tuple(_check_int(x) for x in v) for v in self.simple_coroots)
         object.__setattr__(self, "simple_roots", roots)
         object.__setattr__(self, "simple_coroots", coroots)
+        self._check_structure()
+
+    @classmethod
+    def _checked_entries(
+        cls,
+        rank: int,
+        roots: tuple[tuple[int, ...], ...],
+        coroots: tuple[tuple[int, ...], ...],
+        label: str = "",
+    ) -> "RootDatum":
+        """Build from tuples of ints already checked, running every other check."""
+        rd = object.__new__(cls)
+        for name, value in (
+            ("rank", rank),
+            ("simple_roots", roots),
+            ("simple_coroots", coroots),
+            ("label", label),
+        ):
+            object.__setattr__(rd, name, value)
+        rd._check_structure()
+        return rd
+
+    def _check_structure(self) -> None:
+        """The shape, Cartan-pairing and independence checks."""
+        if self.rank < 0:
+            raise DimensionError("rank must be nonnegative")
+        roots, coroots = self.simple_roots, self.simple_coroots
         if len(roots) != len(coroots):
             raise DimensionError(
                 f"{len(roots)} simple roots against {len(coroots)} simple coroots"
@@ -183,7 +208,8 @@ def build_standard(
     label = f"{series.upper()}{rank}-{tag}"
     if central_torus_rank:
         label += f" x T^{central_torus_rank}"
-    return RootDatum(n + central_torus_rank, roots, coroots, label=label)
+    # the entries come from the Cartan matrix, so only the structure is checked
+    return RootDatum._checked_entries(n + central_torus_rank, roots, coroots, label)
 
 
 def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:

@@ -8,7 +8,8 @@ exponent p.  From it we compute, in the coordinates of the weight basis:
 * the color saturation: all fractional weights on which every color
   functional is integral;
 * its restriction to the ambient character lattice, obtained by imposing
-  integrality of the embedding coordinates as additional functionals;
+  integrality of the embedding coordinates as additional functionals,
+  whose quotient is read off the Smith form of the colors;
 * the prime-to-p parts of pi0 (of the isotropy group) and pi1 (of the
   space) as the p'-parts of those two quotients, with each divisible
   quotient direction contributing one profinite prime-to-p factor to pi1.
@@ -232,12 +233,6 @@ def color_saturation(sd: SphericalDatum) -> tuple[SaturatedSet, FinGenAbQuotient
     return dual_saturation(sd.rank, sd.colors)
 
 
-def _ambient_constraints(sd: SphericalDatum) -> IntMatrix:
-    # integrality against the colors AND integrality of the ambient
-    # coordinates, imposed simultaneously
-    return stack_rows(sd.colors, sd.lattice_embedding)
-
-
 def ambient_color_saturation(
     sd: SphericalDatum,
 ) -> tuple[SaturatedSet, FinGenAbQuotient]:
@@ -249,11 +244,51 @@ def ambient_color_saturation(
     [colors; embedding].  The embedding has full column rank, hence the
     quotient over the weight lattice is always finite.
     """
-    return dual_saturation(sd.rank, _ambient_constraints(sd))
+    return dual_saturation(sd.rank, stack_rows(sd.colors, sd.lattice_embedding))
+
+
+def _ambient_quotient(sd: SphericalDatum, colors_snf: SnfResult) -> FinGenAbQuotient:
+    """The ambient quotient, read off the Smith form U F V = S of the colors.
+
+    It is the quotient of the saturation of [F; E], whose invariant
+    factors are those of [S; E V]: U acts on the rows of F alone and V
+    on the columns of both blocks.  Row j < rho of S is s_j e_j, so
+    column j of E V counts mod s_j, and a column with s_j = 1 splits
+    off a trivial factor.  What is left is diag(s_j > 1) stacked on
+    the nonzero rows of E V, on the columns j < rho with s_j > 1 (taken
+    mod s_j) and the kernel columns j >= rho.
+    """
+    rank = colors_snf.rank
+    diag = colors_snf.diagonal()
+    kept = [j for j in range(rank) if diag[j] > 1]
+    cols = kept + list(range(rank, sd.rank))
+    # the modulus of each column; 0 leaves a kernel column as it is
+    mods = [diag[j] for j in kept] + [0] * (sd.rank - rank)
+    v_cols = IntMatrix._trusted(
+        sd.rank,
+        len(cols),
+        tuple(tuple(row[j] for j in cols) for row in colors_snf.V.entries),
+    )
+    rows = [
+        tuple(s if k == i else 0 for k in range(len(cols)))
+        for i, s in enumerate(mods)
+        if s
+    ]
+    for row in (sd.lattice_embedding @ v_cols).entries:
+        reduced = tuple(x % s if s else x for x, s in zip(row, mods))
+        if any(reduced):
+            rows.append(reduced)
+    reduced_m = IntMatrix._trusted(len(rows), len(cols), tuple(rows))
+    return smith_quotient(snf(reduced_m, with_u=False, with_v=False))
 
 
 def ambient_saturation_quotient(sd: SphericalDatum) -> FinGenAbQuotient:
-    return smith_quotient(snf(_ambient_constraints(sd), with_u=False, with_v=False))
+    """Quotient of the ambient saturation by the weight lattice.
+
+    Costs the Smith form of the colors with ``V`` and a certificate-free
+    one of the small matrix :func:`_ambient_quotient` builds from it.
+    """
+    return _ambient_quotient(sd, snf(sd.colors, with_u=False))
 
 
 def _p_prime_pi(q: FinGenAbQuotient, p: int) -> PiResult:
@@ -265,8 +300,9 @@ def pi0_p_prime(sd: SphericalDatum) -> PiResult:
     """Prime-to-p part of the component group of the isotropy subgroup.
 
     This is the p'-part of the finite quotient of the ambient saturation
-    by the weight lattice; the p-part of pi0 is not determined by the
-    datum.
+    by the weight lattice, read off the colors' Smith form as in
+    :func:`ambient_saturation_quotient`; the p-part of pi0 is not
+    determined by the datum.
     """
     return _p_prime_pi(ambient_saturation_quotient(sd), sd.char_exponent)
 
@@ -285,14 +321,16 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
 def full_report(sd: SphericalDatum) -> Report:
     """Validate and run the whole pipeline from two Smith forms.
 
-    The Smith form of the colors gives the coroot-span check and the
-    color saturation quotient; that of the colors stacked on the
-    embedding gives the ambient quotient.  pi1 and pi0 are their
-    p'-parts.  A failed coroot-span check is a warning in ``validation``.
+    The Smith form U F V = S of the colors gives the coroot-span check
+    and the color saturation quotient.  Its invariant factors and ``V``
+    reduce the ambient quotient to the certificate-free Smith form of a
+    small matrix (see :func:`_ambient_quotient`).  pi1 and pi0 are the
+    p'-parts of the two quotients.  A failed coroot-span check is a
+    warning in ``validation``.
     """
     colors_snf = snf(sd.colors, with_u=False)
     sat_q = smith_quotient(colors_snf)
-    amb_q = ambient_saturation_quotient(sd)
+    amb_q = _ambient_quotient(sd, colors_snf)
     return Report(
         datum=sd,
         saturation_quotient=sat_q,

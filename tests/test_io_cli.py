@@ -7,6 +7,8 @@ import pytest
 from spherical_pi.catalog import CHARACTERISTICS, catalog, catalog_entry, run_entry
 from spherical_pi.cli import main
 from spherical_pi.documents import (
+    MAX_COLORS,
+    MAX_ENTRY_BITS,
     MAX_RANK,
     ParseError,
     format_pi,
@@ -133,6 +135,37 @@ class TestParse:
         }
         with pytest.raises(ParseError, match=f"is {rank + ctr}, above the cap"):
             parse(doc_text(root_datum={"standard": std}))
+
+    def test_color_cap(self):
+        assert parse(doc_text(colors=[[2]] * MAX_COLORS)).color_count == MAX_COLORS
+        with pytest.raises(ParseError, match="'colors' has 1025 rows, above the cap"):
+            parse(doc_text(colors=[[2]] * (MAX_COLORS + 1)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_entry_bit_cap(self, sign):
+        top = sign * (2**MAX_ENTRY_BITS - 1)
+        sd = parse(doc_text(lattice=[[top]], colors=[[2], [top]]))
+        assert sd.lattice_embedding[0][0] == sd.colors[1][0] == top
+        over = sign * 2**MAX_ENTRY_BITS
+        with pytest.raises(ParseError, match=r"'lattice\[0\]\[0\]' has 257 bits"):
+            parse(doc_text(lattice=[[over]]))
+        with pytest.raises(ParseError, match=r"'colors\[1\]\[0\]' has 257 bits"):
+            parse(doc_text(colors=[[4], [over]]))
+
+    def test_entry_bit_cap_covers_explicit_roots(self):
+        explicit = {"rank": 1, "simple_roots": [[2**MAX_ENTRY_BITS]], "simple_coroots": [[1]]}
+        text = doc_text(root_datum={"explicit": explicit})
+        with pytest.raises(ParseError, match=r"simple_roots\[0\]\[0\]' has 257 bits"):
+            parse(text)
+
+    def test_oversized_integer_literal(self):
+        text = doc_text().replace('"colors": [[2]]', f'"colors": [[{"9" * 4301}]]')
+        with pytest.raises(ParseError, match="integer literal has more than"):
+            parse(text)
+
+    def test_deep_nesting(self):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse("[" * 100_000 + "]" * 100_000)
 
     def test_rank_deficient_embedding_is_structural(self):
         doc = {
@@ -316,6 +349,26 @@ class TestCli:
         for argv in commands:
             assert main(argv) == 2
             assert "above the cap of 512" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (doc_text(colors=[[2]] * (MAX_COLORS + 1)), "above the cap of 1024"),
+            (doc_text(colors=[[2**MAX_ENTRY_BITS]]), "above the cap of 256"),
+            (doc_text().replace("[[2]]", f"[[{'9' * 4301}]]"), "more than"),
+        ],
+        ids=["colors", "entry-bits", "literal-digits"],
+    )
+    def test_over_a_cap_exits_2(self, tmp_path, capsys, text, message):
+        path = self.write(tmp_path, text)
+        commands = (
+            ["compute", path],
+            ["validate", path],
+            ["oracle", path, "--torsion", "2"],
+        )
+        for argv in commands:
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
 
     def test_oracle_budget_error(self, tmp_path, capsys):
         path = self.write(tmp_path, catalog_entry("torus_rank_2").document)

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from spherical_pi import root_data
+from spherical_pi.catalog import catalog_entry
+from spherical_pi.documents import parse, serialize_datum
 from spherical_pi.intmat import DimensionError, IntMatrix, snf
 from spherical_pi.lattices import FinGenAbQuotient
 from spherical_pi.root_data import (
@@ -370,6 +373,30 @@ class TestRootDatumAgainstReference:
         # accepted data and every kind of rejection must all occur
         for kind in (None,) + kinds:
             assert seen[kind] >= 5, seen
+
+    def test_checked_entries_route_runs_the_same_checks(self):
+        rng = random.Random(5152)
+        accepted = 0
+        for _ in range(300):
+            rank, roots, coroots = random_explicit(rng)
+            want = raised(RootDatum, rank, roots, coroots)
+            got = raised(RootDatum._checked_entries, rank, roots, coroots)
+            assert got == want
+            if want is None:
+                trusted = RootDatum._checked_entries(rank, roots, coroots)
+                assert trusted == RootDatum(rank, roots, coroots)
+                accepted += 1
+        assert accepted >= 50
+
+    def test_parse_checks_root_entries_once(self, monkeypatch):
+        # an explicit document: parse checks each entry, RootDatum does not
+        doc = catalog_entry("group_case_A2_adjoint").document
+        text = serialize_datum(parse(doc))
+        checked = []
+        monkeypatch.setattr(root_data, "_check_int", checked.append)
+        assert parse(text).root_datum.semisimple_rank == 4
+        build_standard("E", 8, ADJOINT)
+        assert checked == []
 
     def test_root_and_coroot_matrices_pass_the_entry_check(self):
         rng = random.Random(5151)

@@ -17,10 +17,11 @@ import sys
 
 import pytest
 
-from spherical_pi import cli, intmat
+from spherical_pi import cli, intmat, spherical
 from spherical_pi.catalog import catalog_entry, run_entry
 from spherical_pi.documents import parse
-from spherical_pi.intmat import IntMatrix, snf
+from spherical_pi.intmat import IntMatrix, snf, stack_rows
+from spherical_pi.lattices import smith_quotient
 from spherical_pi.root_data import (
     ADJOINT,
     SIMPLY_CONNECTED,
@@ -32,12 +33,21 @@ from spherical_pi.spherical import (
     PASS,
     WARN,
     SphericalDatum,
+    ambient_color_saturation,
+    ambient_saturation_quotient,
     full_report,
     pi0_p_prime,
     pi1_p_prime,
     validate,
 )
-from spherical_pi.verify import det, product, solve_in_lattice, torus
+from spherical_pi.verify import (
+    Lattice,
+    det,
+    product,
+    quotient,
+    solve_in_lattice,
+    torus,
+)
 
 SMALL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("G", 2))
 
@@ -148,16 +158,23 @@ def snf_shapes(monkeypatch, fn, sd):
 
 
 class TestSnfBudget:
-    @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5), ("A", 1)])
-    def test_group_case_report_costs_two(self, monkeypatch, series, n):
+    @pytest.mark.parametrize(
+        "series, n, ambient", [("A", 6, (13, 1)), ("D", 5, (9, 1)), ("A", 1, (3, 1))]
+    )
+    def test_group_case_report_costs_two(self, monkeypatch, series, n, ambient):
+        # the colors' Smith form leaves one factor s > 1 (n + 1 for A_n, 4
+        # for D_5); the second form is that row stacked on the nonzero rows
+        # of E V, taken mod s in its one column
         shapes = snf_shapes(monkeypatch, full_report, group_case(series, n))
-        assert shapes == [(n, n), (n + 2 * n, n)]
+        assert shapes == [(n, n), ambient]
 
     def test_torus_report_costs_two(self, monkeypatch):
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 3)
-        assert snf_shapes(monkeypatch, full_report, sd) == [(2, 3), (5, 3)]
+        # S = diag(1, 6) with a kernel column: one factor row and the 3 rows
+        # of E V on the columns of 6 and of the kernel
+        assert snf_shapes(monkeypatch, full_report, sd) == [(2, 3), (4, 2)]
 
     def test_validate_costs_one(self, monkeypatch):
         twin = group_case("A", 4, factor=2)
@@ -186,7 +203,7 @@ class TestSnfBudget:
 
         monkeypatch.setattr(cli, "parse", parse_then_count)
         assert cli.main(["compute", str(path), "--strict"]) == 0
-        assert calls == [(2, 2), (6, 2)]
+        assert calls == [(2, 2), (5, 1)]
 
 
 V_ONLY = (False, True)
@@ -210,9 +227,13 @@ class TestCertificateRequests:
         twin = group_case("A", 4, factor=2)
         assert self.requests(monkeypatch, validate, twin) == [V_ONLY]
 
-    @pytest.mark.parametrize("fn", [pi0_p_prime, pi1_p_prime])
-    def test_pi_asks_for_no_certificate(self, monkeypatch, fn):
-        assert self.requests(monkeypatch, fn, group_case("A", 3)) == [NONE]
+    def test_pi0_asks_for_v_of_colors_only(self, monkeypatch):
+        sd = group_case("A", 3)
+        assert self.requests(monkeypatch, pi0_p_prime, sd) == [V_ONLY, NONE]
+
+    def test_pi1_asks_for_no_certificate(self, monkeypatch):
+        sd = group_case("A", 3)
+        assert self.requests(monkeypatch, pi1_p_prime, sd) == [NONE]
 
     def test_parse_asks_for_no_certificate(self, monkeypatch):
         doc = catalog_entry("group_case_A2_adjoint").document
@@ -235,6 +256,152 @@ class TestCertificateRequests:
         ]
 
 
+AMBIENT_KINDS = ("fewer", "square", "more", "none", "product", "repeats", "unimodular")
+
+
+def ambient_case(rng, kind, r):
+    """Torus datum of rank r whose colors have the shape or defect ``kind`` names.
+
+    ``fewer``, ``square`` and ``more`` draw m < r, m = r and m > r dense
+    colors, ``none`` has no colors, ``product`` builds rank-deficient
+    colors as a product through a narrower middle, ``repeats`` mixes zero
+    and repeated rows into them, and ``unimodular`` colors have every
+    invariant factor 1.  A fifth of the draws have entries of about 200
+    bits in the colors and the embedding.  ``fewer`` and ``product`` raise
+    r to at least 1.
+    """
+    r = max(r, kind in ("fewer", "product"))
+    bits = rng.choice((3, 3, 3, 3, 200))
+
+    def draw(rows, cols, bound=2**bits):
+        return IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+
+    if kind == "fewer":
+        colors = draw(rng.randint(1, r) - 1, r)
+    elif kind == "square":
+        colors = draw(r, r)
+    elif kind == "more":
+        colors = draw(rng.randint(r + 1, 12), r)
+    elif kind == "none":
+        colors = draw(0, r)
+    elif kind == "product":
+        middle = rng.randint(0, r - 1)
+        colors = draw(rng.randint(0, 12), middle, 4) @ draw(middle, r)
+    elif kind == "repeats":
+        rows = list(draw(rng.randint(0, 6), r).entries)
+        for _ in range(rng.randint(1, 6)):
+            extra = rng.choice(rows) if rows and rng.random() < 0.5 else (0,) * r
+            rows.insert(rng.randrange(len(rows) + 1), extra)
+        colors = IntMatrix.from_rows(rows[:12], cols=r)
+    else:
+        colors = random_unimodular(rng, r)
+    d = r + rng.randint(0, 2)
+    while True:
+        emb = draw(d, r)
+        if snf(emb, with_u=False, with_v=False).rank == r:
+            break
+    # a right factor diag(c) W shared by F and E puts Z/c_j into the quotient
+    scale = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(r)]
+    w = random_unimodular(rng, r).entries
+    frame = IntMatrix.from_rows(
+        [[c * x for x in row] for c, row in zip(scale, w)], cols=r
+    )
+    if kind != "unimodular":
+        colors = colors @ frame
+    return SphericalDatum(torus(d), emb @ frame, colors, 1, label=f"{kind} r{r}")
+
+
+def direct_ambient_quotient(sd):
+    """The reference: the Smith form of the stack [F; E] itself."""
+    stacked = stack_rows(sd.colors, sd.lattice_embedding)
+    return smith_quotient(snf(stacked, with_u=False, with_v=False))
+
+
+def lattice_ambient_quotient(sd):
+    """The reference through verify.quotient of the saturation's basis over Z^r."""
+    sat, _ = ambient_color_saturation(sd)
+    unit = tuple(tuple(int(i == j) for j in range(sd.rank)) for i in range(sd.rank))
+    return quotient(
+        Lattice(sd.rank, sat.finite_direction_basis), Lattice(sd.rank, unit)
+    )
+
+
+def second_form(monkeypatch, sd):
+    """The matrix that full_report hands to its second Smith form."""
+    seen = []
+    real = spherical.snf
+
+    def recording(m, **kwargs):
+        seen.append(m)
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(spherical, "snf", recording)
+    full_report(sd)
+    return seen[1]
+
+
+class TestAmbientFromColors:
+    """The ambient quotient read off the colors' Smith form, against [F; E]."""
+
+    def test_random_data_match_both_references(self):
+        rng = random.Random("ambient-from-colors")
+        seen = {kind: set() for kind in AMBIENT_KINDS}
+        nontrivial = 0
+        for draw in range(315):
+            kind = AMBIENT_KINDS[draw % len(AMBIENT_KINDS)]
+            sd = ambient_case(rng, kind, draw // len(AMBIENT_KINDS) % 9)
+            got = ambient_saturation_quotient(sd)
+            assert got == direct_ambient_quotient(sd), (draw, sd.label)
+            assert got == lattice_ambient_quotient(sd), (draw, sd.label)
+            if draw % 5 == 0:
+                assert full_report(sd).ambient_saturation_quotient == got
+                assert pi0_p_prime(sd).invariant_factors == got.invariant_factors
+            seen[kind].add((sd.rank, sd.color_count))
+            nontrivial += not got.is_trivial
+        ranks = {r for shapes in seen.values() for r, _ in shapes}
+        counts = {m for shapes in seen.values() for _, m in shapes}
+        assert ranks == set(range(9)) and counts == set(range(13))
+        assert all(len(shapes) >= 8 for shapes in seen.values())
+        assert nontrivial >= 150
+
+    def test_kernel_directions_carry_the_embedding(self):
+        # no colors: the quotient is that of E alone, all of it from the
+        # kernel columns
+        emb = IntMatrix.from_rows([[2, 0], [0, 6], [0, 0]])
+        sd = SphericalDatum(torus(3), emb, IntMatrix.from_rows([], cols=2), 1)
+        assert ambient_saturation_quotient(sd) == direct_ambient_quotient(sd)
+        assert ambient_saturation_quotient(sd).invariant_factors == (2, 6)
+
+    def test_unimodular_colors_leave_no_columns(self, monkeypatch):
+        rng = random.Random(7)
+        emb = IntMatrix.from_rows([[3, 1], [0, 5]])
+        sd = SphericalDatum(torus(2), emb, random_unimodular(rng, 2), 1)
+        m = second_form(monkeypatch, sd)
+        assert (m.rows, m.cols) == (0, 0)
+        assert ambient_saturation_quotient(sd).is_trivial
+
+    def test_second_form_holds_residues_below_each_factor(self, monkeypatch):
+        rng = random.Random("ambient-residues")
+        for draw in range(60):
+            kind = AMBIENT_KINDS[draw % len(AMBIENT_KINDS)]
+            sd = ambient_case(rng, kind, draw % 9)
+            colors_snf = snf(sd.colors, with_u=False, with_v=False)
+            factors = [
+                s for s in colors_snf.diagonal()[: colors_snf.rank] if s > 1
+            ]
+            m = second_form(monkeypatch, sd)
+            monkeypatch.undo()
+            assert m.cols == len(factors) + sd.rank - colors_snf.rank
+            for i, s in enumerate(factors):
+                assert m[i] == tuple(s * (j == i) for j in range(m.cols))
+            for row in m.entries[len(factors) :]:
+                assert any(row)
+                assert all(0 <= x < s for x, s in zip(row, factors))
+
+
 def random_unimodular(rng, n):
     """Product of random elementary integer column operations."""
     w = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -249,7 +416,7 @@ def random_unimodular(rng, n):
                 row[i], row[j] = row[j], row[i]
             elif kind == 2 and i == j:
                 row[i] = -row[i]
-    return IntMatrix.from_rows(w)
+    return IntMatrix.from_rows(w, cols=n)
 
 
 def with_colors(sd, rows):
