@@ -1,10 +1,15 @@
 """Small number-theoretic helpers.
 
-Everything here runs at desk scale (characteristic exponents, torsion
-moduli below the enumeration budget), so plain trial division is enough.
+Everything here runs at desk scale (characteristic exponents below
+2**32, torsion moduli below the enumeration budget), so plain trial
+division is enough.
 """
 
 from __future__ import annotations
+
+# characteristic exponents stay below this, so the primality check of p
+# costs at most about 2**15 trial divisions
+_CHAR_EXPONENT_CAP = 2**32
 
 
 def is_prime(n: int) -> bool:
@@ -40,8 +45,12 @@ def divisors(n: int) -> list[int]:
 
 
 def _check_char_exponent(p: object) -> None:
-    """Raise ValueError unless p is the int 1 or a prime (a bool is neither)."""
+    """Raise ValueError unless p is 1 or a prime below the cap (a bool is neither)."""
     if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValueError(f"characteristic exponent must be a positive int, got {p!r}")
+    if p >= _CHAR_EXPONENT_CAP:
+        raise ValueError(
+            f"characteristic exponent must be below {_CHAR_EXPONENT_CAP}, got {p}"
+        )
     if p != 1 and not is_prime(p):
         raise ValueError(f"characteristic exponent must be 1 or a prime, got {p}")

@@ -33,7 +33,7 @@ import json
 import sys
 from typing import Any
 
-from .intmat import DimensionError, IntMatrix
+from .intmat import IntMatrix
 from .lattices import FinGenAbQuotient
 from .root_data import ADJOINT, SIMPLY_CONNECTED, RootDatum, build_standard
 from .spherical import PiResult, Report, SphericalDatum
@@ -136,25 +136,23 @@ def _parse_root_datum(raw: Any) -> RootDatum:
         _check_rank_cap(rank + ctr, "'root_datum.standard' rank + central_torus_rank")
         try:
             return build_standard(series, rank, isogeny, ctr)
-        except (ValueError, DimensionError) as exc:
+        except ValueError as exc:
             raise ParseError(f"'root_datum.standard': {exc}") from exc
     if set(obj) == {"explicit"}:
         exp = _expect_object(obj["explicit"], "root_datum.explicit")
         _expect_keys(exp, _EXPLICIT_KEYS, _EXPLICIT_KEYS, "'root_datum.explicit'")
         rank = _expect_int(exp["rank"], "root_datum.explicit.rank")
         _check_rank_cap(rank, "'root_datum.explicit.rank'")
+        # at most rank vectors of Z^rank are independent
         roots = _expect_vector_list(
-            exp["simple_roots"], "root_datum.explicit.simple_roots", rank
+            exp["simple_roots"], "root_datum.explicit.simple_roots", rank, rank
         )
         coroots = _expect_vector_list(
-            exp["simple_coroots"], "root_datum.explicit.simple_coroots", rank
+            exp["simple_coroots"], "root_datum.explicit.simple_coroots", rank, rank
         )
         try:
-            # _expect_vector checked every entry already
-            return RootDatum._checked_entries(
-                rank, tuple(roots), tuple(coroots), label="explicit"
-            )
-        except (ValueError, DimensionError) as exc:
+            return RootDatum(rank, tuple(roots), tuple(coroots), label="explicit")
+        except ValueError as exc:
             raise ParseError(f"'root_datum.explicit': {exc}") from exc
     raise ParseError(
         "'root_datum' must contain exactly one of the keys 'standard' or 'explicit'"
@@ -182,7 +180,8 @@ def parse(text: str) -> SphericalDatum:
     label = _expect_str(obj["label"], "label")
     p = _expect_int(obj["p"], "p")
     rd = _parse_root_datum(obj["root_datum"])
-    generators = _expect_vector_list(obj["lattice"], "lattice", rd.rank)
+    # a full-column-rank embedding has at most rd.rank generators
+    generators = _expect_vector_list(obj["lattice"], "lattice", rd.rank, rd.rank)
     r = len(generators)
     color_rows = _expect_vector_list(obj["colors"], "colors", r, MAX_COLORS)
     # _expect_vector checked every entry and length already
@@ -190,7 +189,7 @@ def parse(text: str) -> SphericalDatum:
     colors = IntMatrix._trusted(len(color_rows), r, tuple(color_rows))
     try:
         return SphericalDatum(rd, embedding, colors, p, label=label)
-    except (ValueError, DimensionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
 
 

@@ -7,10 +7,11 @@ transformations ``U`` and ``V`` alongside the form, which lets callers
 multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
 The pipeline asks only for what it reads.  The colors' Smith form takes
 ``V`` only, because the coroot-span check and the ambient quotient (and
-so pi0) read it, and so does ``dual_saturation``.  pi1, the reduced
-ambient form and every rank check take neither certificate.  Both
-certificates are read only by the independent verification route,
-:mod:`spherical_pi.verify`.
+so pi0) read it, and so does ``dual_saturation``.  pi1 and the reduced
+ambient form take neither certificate, and neither does ``_rank``, the
+one rank rule that every independence and full-rank check of the
+pipeline calls.  Both certificates are read only by the independent
+verification route, :mod:`spherical_pi.verify`.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -143,13 +144,6 @@ class IntMatrix:
                     acc = [a + x * b for a, b in zip(acc, other_row)]
             out.append(tuple(acc))
         return IntMatrix._trusted(self.rows, other.cols, tuple(out))
-
-    def mul_vec(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.cols:
-            raise DimensionError(
-                f"vector of length {len(vector)} against {self.rows}x{self.cols} matrix"
-            )
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
 
 
 def stack_rows(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
@@ -345,3 +339,8 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
         V=_trusted_from_lists(s[nr:], nc) if with_v else None,
         rank=k,
     )
+
+
+def _rank(m: IntMatrix) -> int:
+    """The rank of ``m``, from its certificate-free Smith form."""
+    return snf(m, with_u=False, with_v=False).rank

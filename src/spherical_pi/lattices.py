@@ -20,11 +20,8 @@ from .intmat import DimensionError, IntMatrix, SnfResult, snf
 Vector = tuple[Fraction, ...]
 
 
-def _vec(entries: Iterable, length: int | None = None) -> Vector:
-    v = tuple(Fraction(x) for x in entries)
-    if length is not None and len(v) != length:
-        raise DimensionError(f"vector of length {len(v)}, expected {length}")
-    return v
+def _vec(entries: Iterable) -> Vector:
+    return tuple(Fraction(x) for x in entries)
 
 
 def _check_rank(n: object, name: str) -> None:

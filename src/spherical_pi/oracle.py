@@ -43,11 +43,20 @@ class TorsionGroupSample:
 
 
 def _check_modulus(modulus: object) -> None:
-    """Raise unless the modulus is an int >= 1 (a bool is not an int here)."""
+    """Raise unless the modulus is an int from 1 to ``ENUMERATION_BUDGET``.
+
+    A bool is not an int here.  The budget bounds the modulus itself, not
+    only the grid, because with no columns the grid is one point for any
+    modulus, while ``structure_match`` lists the modulus's divisors.
+    """
     if not isinstance(modulus, int) or isinstance(modulus, bool):
         raise TypeError(f"modulus must be an int, got {type(modulus).__name__}")
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
+    if modulus > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"modulus {modulus} exceeds the enumeration budget of {ENUMERATION_BUDGET}"
+        )
 
 
 def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSample:
@@ -135,9 +144,14 @@ def structure_match(
     """Compare a sampled torsion group against a predicted quotient.
 
     True exactly when the sample's order histogram equals that of the
-    modulus-torsion of the predicted group.
+    modulus-torsion of the predicted group.  The modulus must be the
+    sample's: the torsion for another modulus was never enumerated.
     """
     _check_modulus(modulus)
+    if modulus != sample.modulus:
+        raise ValueError(
+            f"modulus {modulus} differs from the sample's modulus {sample.modulus}"
+        )
     predicted_hist = _predicted_histogram(predicted, modulus)
     sample_hist = {e: c for e, c in sample.order_histogram.items() if c}
     if predicted_hist == sample_hist:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import DimensionError, IntMatrix, _check_int, snf
+from .intmat import DimensionError, IntMatrix, _check_int, _rank
 
 SIMPLY_CONNECTED = "simply-connected"
 ADJOINT = "adjoint"
+_INT_ONLY = frozenset((int,))
 
 # admissible rank ranges per series (Bourbaki conventions)
 _RANK_RANGES: dict[str, tuple[int, int | None]] = {
@@ -86,34 +87,16 @@ class RootDatum:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        roots = tuple(tuple(_check_int(x) for x in v) for v in self.simple_roots)
-        coroots = tuple(tuple(_check_int(x) for x in v) for v in self.simple_coroots)
-        object.__setattr__(self, "simple_roots", roots)
-        object.__setattr__(self, "simple_coroots", coroots)
-        self._check_structure()
-
-    @classmethod
-    def _checked_entries(
-        cls,
-        rank: int,
-        roots: tuple[tuple[int, ...], ...],
-        coroots: tuple[tuple[int, ...], ...],
-        label: str = "",
-    ) -> "RootDatum":
-        """Build from tuples of ints already checked, running every other check."""
-        rd = object.__new__(cls)
-        for name, value in (
-            ("rank", rank),
-            ("simple_roots", roots),
-            ("simple_coroots", coroots),
-            ("label", label),
-        ):
-            object.__setattr__(rd, name, value)
-        rd._check_structure()
-        return rd
-
-    def _check_structure(self) -> None:
-        """The shape, Cartan-pairing and independence checks."""
+        for name in ("simple_roots", "simple_coroots"):
+            vectors = []
+            for raw in getattr(self, name):
+                v = tuple(raw)
+                # only a vector holding a non-int pays for the per-entry check
+                if not _INT_ONLY.issuperset(map(type, v)):
+                    for x in v:
+                        _check_int(x)
+                vectors.append(v)
+            object.__setattr__(self, name, tuple(vectors))
         if self.rank < 0:
             raise DimensionError("rank must be nonnegative")
         roots, coroots = self.simple_roots, self.simple_coroots
@@ -147,9 +130,9 @@ class RootDatum:
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
         if n:
-            if snf(self.root_matrix(), with_u=False, with_v=False).rank != n:
+            if _rank(self.root_matrix()) != n:
                 raise ValueError("simple roots are linearly dependent")
-            if snf(self.coroot_matrix(), with_u=False, with_v=False).rank != n:
+            if _rank(self.coroot_matrix()) != n:
                 raise ValueError("simple coroots are linearly dependent")
 
     @property
@@ -208,8 +191,7 @@ def build_standard(
     label = f"{series.upper()}{rank}-{tag}"
     if central_torus_rank:
         label += f" x T^{central_torus_rank}"
-    # the entries come from the Cartan matrix, so only the structure is checked
-    return RootDatum._checked_entries(n + central_torus_rank, roots, coroots, label)
+    return RootDatum(n + central_torus_rank, roots, coroots, label=label)
 
 
 def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:
@@ -223,6 +205,6 @@ def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:
         raise DimensionError(
             f"embedding has {embedding.rows} rows, expected {rd.rank}"
         )
-    if snf(embedding, with_u=False, with_v=False).rank != embedding.cols:
+    if _rank(embedding) != embedding.cols:
         raise ValueError("embedding is rank-deficient")
     return rd.coroot_matrix() @ embedding

@@ -23,7 +23,7 @@ import copy
 from dataclasses import dataclass, field
 
 from .arith import _check_char_exponent
-from .intmat import DimensionError, IntMatrix, SnfResult, snf, stack_rows
+from .intmat import DimensionError, IntMatrix, SnfResult, _rank, snf, stack_rows
 from .lattices import (
     FinGenAbQuotient,
     SaturatedSet,
@@ -71,8 +71,7 @@ class SphericalDatum:
                 f"colors have {self.colors.cols} columns, expected "
                 f"{self.lattice_embedding.cols}"
             )
-        rank = snf(self.lattice_embedding, with_u=False, with_v=False).rank
-        if rank != self.lattice_embedding.cols:
+        if _rank(self.lattice_embedding) != self.lattice_embedding.cols:
             raise ValueError("lattice embedding is rank-deficient")
         _check_char_exponent(self.char_exponent)
 

@@ -2,8 +2,8 @@
 benchmark operation runs and no other module of the package imports.
 
 The pipeline reads pi0 and pi1 off two Smith forms.  The test suite
-re-checks it with what this module holds: ``det``, ``hnf`` and
-``solve_in_lattice``; membership in and equality of saturations
+re-checks it with what this module holds: ``mul_vec``, ``det``, ``hnf``
+and ``solve_in_lattice``; membership in and equality of saturations
 (``contains``, ``same_set``); rational lattices with their intersection
 and finite quotients, a second route to the ambient quotient; and the
 root data ``torus``, ``product`` and ``coroot_saturation``.
@@ -43,6 +43,15 @@ from .lattices import (
     smith_quotient,
 )
 from .root_data import RootDatum
+
+
+def mul_vec(m: IntMatrix, vector: Sequence[int]) -> tuple[int, ...]:
+    """The product of ``m`` and the column ``vector``."""
+    if len(vector) != m.cols:
+        raise DimensionError(
+            f"vector of length {len(vector)} against {m.rows}x{m.cols} matrix"
+        )
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in m.entries)
 
 
 def det(m: IntMatrix) -> int:
@@ -127,7 +136,7 @@ def solve_in_lattice(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     for x in b:
         _check_int(x)
     res = snf(m)
-    c = res.U.mul_vec(tuple(b))
+    c = mul_vec(res.U, tuple(b))
     y = [0] * m.cols
     for i in range(m.rows):
         if i < res.rank:
@@ -137,7 +146,14 @@ def solve_in_lattice(m: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
             y[i] = c[i] // si
         elif c[i]:
             return None
-    return res.V.mul_vec(y)
+    return mul_vec(res.V, y)
+
+
+def _vec_of_length(entries: Iterable, length: int) -> Vector:
+    v = _vec(entries)
+    if len(v) != length:
+        raise DimensionError(f"vector of length {len(v)}, expected {length}")
+    return v
 
 
 def _denominator_scale(vectors: Iterable[Vector]) -> int:
@@ -202,7 +218,7 @@ def _eliminate(v: Vector, rref: Sequence[tuple[int, Vector]]) -> Vector:
 def contains(sat: SaturatedSet, vector: Iterable) -> bool:
     """Membership in the subgroup of Q^r that ``sat`` describes."""
     bases = sat.finite_direction_basis + sat.divisible_subspace_basis
-    v = _vec(vector, len(bases[0]) if bases else None)
+    v = _vec_of_length(vector, len(bases[0])) if bases else _vec(vector)
     rref = _rref(sat.divisible_subspace_basis)
     gens = [_eliminate(f, rref) for f in sat.finite_direction_basis]
     return _integer_coordinates(gens, _eliminate(v, rref)) is not None
@@ -235,7 +251,7 @@ class Lattice:
     def __post_init__(self) -> None:
         if self.ambient_rank < 0:
             raise DimensionError("ambient rank must be nonnegative")
-        basis = tuple(_vec(v, self.ambient_rank) for v in self.basis)
+        basis = tuple(_vec_of_length(v, self.ambient_rank) for v in self.basis)
         object.__setattr__(self, "basis", basis)
         if _rational_rank(basis, self.ambient_rank) != len(basis):
             raise ValueError("basis vectors are linearly dependent")
@@ -246,7 +262,9 @@ class Lattice:
 
     def coordinates_of(self, vector: Iterable) -> tuple[int, ...] | None:
         """Integer coordinates of ``vector`` on the basis, or None."""
-        return _integer_coordinates(self.basis, _vec(vector, self.ambient_rank))
+        return _integer_coordinates(
+            self.basis, _vec_of_length(vector, self.ambient_rank)
+        )
 
     def contains(self, vector: Iterable) -> bool:
         return self.coordinates_of(vector) is not None
@@ -279,7 +297,7 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
     gens: list[list[int]] = []
     for j in range(res.rank, stacked.cols):
         z = res.V.column(j)
-        gens.append(list(mat_a.mul_vec(z[: a.rank])))
+        gens.append(list(mul_vec(mat_a, z[: a.rank])))
     # canonicalize the integer basis before undoing the scaling
     h = hnf(IntMatrix.from_cols(gens, rows=dim)).H
     basis = tuple(

@@ -136,6 +136,32 @@ class TestParse:
         with pytest.raises(ParseError, match=f"is {rank + ctr}, above the cap"):
             parse(doc_text(root_datum={"standard": std}))
 
+    @pytest.mark.parametrize("key", ["lattice", "simple_roots", "simple_coroots"])
+    def test_vector_lists_are_capped_at_the_rank(self, key):
+        # at most rank vectors of Z^rank are independent
+        lists = {
+            "simple_roots": [[2, 0], [0, 2]],
+            "simple_coroots": [[1, 0], [0, 1]],
+            "lattice": [[1, 0], [0, 1]],
+        }
+
+        def text():
+            explicit = {
+                "rank": 2,
+                "simple_roots": lists["simple_roots"],
+                "simple_coroots": lists["simple_coroots"],
+            }
+            return doc_text(
+                root_datum={"explicit": explicit},
+                lattice=lists["lattice"],
+                colors=[[1, 0], [0, 1]],
+            )
+
+        assert parse(text()).root_datum.semisimple_rank == 2
+        lists[key] = lists[key] + [[1, 1]]
+        with pytest.raises(ParseError, match=f"{key}' has 3 rows, above the cap of 2"):
+            parse(text())
+
     def test_color_cap(self):
         assert parse(doc_text(colors=[[2]] * MAX_COLORS)).color_count == MAX_COLORS
         with pytest.raises(ParseError, match="'colors' has 1025 rows, above the cap"):
@@ -283,6 +309,12 @@ class TestCli:
         path = self.write(tmp_path, catalog_entry("sl2_mod_normalizer").document)
         assert main(["compute", path, "--p", "4"]) == 2
 
+    @pytest.mark.parametrize("p, code", [(4294967291, 0), (4294967311, 2)])
+    def test_compute_p_cap(self, tmp_path, capsys, p, code):
+        # both are prime; only the first is below the cap of 2**32
+        path = self.write(tmp_path, catalog_entry("sl2_mod_normalizer").document)
+        assert main(["compute", path, "--p", str(p)]) == code
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = self.write(tmp_path, "{ not json")
         assert main(["compute", path]) == 2
@@ -354,10 +386,11 @@ class TestCli:
         "text, message",
         [
             (doc_text(colors=[[2]] * (MAX_COLORS + 1)), "above the cap of 1024"),
+            (doc_text(lattice=[[4], [2]]), "above the cap of 1"),
             (doc_text(colors=[[2**MAX_ENTRY_BITS]]), "above the cap of 256"),
             (doc_text().replace("[[2]]", f"[[{'9' * 4301}]]"), "more than"),
         ],
-        ids=["colors", "entry-bits", "literal-digits"],
+        ids=["colors", "lattice-rows", "entry-bits", "literal-digits"],
     )
     def test_over_a_cap_exits_2(self, tmp_path, capsys, text, message):
         path = self.write(tmp_path, text)
@@ -369,6 +402,15 @@ class TestCli:
         for argv in commands:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
+
+    def test_oracle_budget_bounds_the_modulus_of_a_rank_0_document(
+        self, tmp_path, capsys
+    ):
+        explicit = {"rank": 0, "simple_roots": [], "simple_coroots": []}
+        text = doc_text(root_datum={"explicit": explicit}, lattice=[], colors=[])
+        path = self.write(tmp_path, text)
+        assert main(["oracle", path, "--torsion", "1000000000000"]) == 2
+        assert "enumeration budget" in capsys.readouterr().err
 
     def test_oracle_budget_error(self, tmp_path, capsys):
         path = self.write(tmp_path, catalog_entry("torus_rank_2").document)

@@ -14,6 +14,7 @@ from spherical_pi.lattices import FinGenAbQuotient, dual_saturation
 from spherical_pi.oracle import (
     ENUMERATION_BUDGET,
     EnumerationBudgetError,
+    TorsionGroupSample,
     enumerate_torsion,
     structure_match,
 )
@@ -84,6 +85,13 @@ class TestEnumerateTorsion:
     def test_invalid_modulus(self):
         with pytest.raises(ValueError):
             enumerate_torsion(mat([[1]]), 0)
+
+    def test_budget_bounds_the_modulus_with_no_columns(self):
+        # the grid of a 0-column matrix is one point for any modulus
+        none = IntMatrix.from_rows([], cols=0)
+        assert enumerate_torsion(none, ENUMERATION_BUDGET).elements == ((),)
+        with pytest.raises(EnumerationBudgetError):
+            enumerate_torsion(none, ENUMERATION_BUDGET + 1)
 
     @pytest.mark.parametrize("modulus", [True, 2.0, "2", Fraction(2)])
     def test_modulus_must_be_an_int(self, modulus):
@@ -275,6 +283,19 @@ class TestStructureMatch:
         sample = enumerate_torsion(d, 6)
         assert structure_match(sample, FinGenAbQuotient(0, (6,)), 6).ok
         assert not structure_match(sample, FinGenAbQuotient(0, (2, 6)), 6).ok
+
+    def test_modulus_must_be_the_samples(self):
+        sample = enumerate_torsion(mat([[2]]), 4)
+        with pytest.raises(ValueError, match="differs from the sample's modulus 4"):
+            structure_match(sample, FinGenAbQuotient(0, (4,)), 2)
+
+    def test_budget_bounds_the_modulus(self):
+        top = ENUMERATION_BUDGET
+        sample = enumerate_torsion(IntMatrix.from_rows([], cols=0), top)
+        assert structure_match(sample, FinGenAbQuotient(0, ()), top).ok
+        over = TorsionGroupSample(top + 1, ((),), {1: 1})
+        with pytest.raises(EnumerationBudgetError):
+            structure_match(over, FinGenAbQuotient(0, ()), top + 1)
 
     def test_invalid_modulus(self):
         sample = enumerate_torsion(mat([[1]]), 1)

@@ -125,7 +125,7 @@ class TestSphericalDatum:
             sd.with_char_exponent(p)
         assert str(replaced.value) == str(built.value)
 
-    @pytest.mark.parametrize("p", [True, 0, -3, 4])
+    @pytest.mark.parametrize("p", [True, 0, -3, 4, 4294967311])
     def test_every_entry_point_rejects_a_bad_p_alike(self, p):
         sd = sl2_mod_normalizer(1)
         calls = (
@@ -140,6 +140,15 @@ class TestSphericalDatum:
                 call()
             messages.add(str(err.value))
         assert len(messages) == 1, messages
+
+    def test_the_largest_prime_below_the_p_cap_is_accepted(self):
+        p = 4294967291
+        sd = sl2_mod_normalizer(1)
+        built = SphericalDatum(sd.root_datum, sd.lattice_embedding, sd.colors, p)
+        assert built.char_exponent == p
+        assert sd.with_char_exponent(p).char_exponent == p
+        assert PiResult(0, (), p).p == p
+        assert p_prime_part(FinGenAbQuotient(0, (2,)), p).invariant_factors == (2,)
 
 
 class TestValidate:
