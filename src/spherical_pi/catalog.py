@@ -3,9 +3,10 @@
 Each entry carries the expected pi0 and pi1 for every characteristic
 exponent in :data:`CHARACTERISTICS`; ``run_entry`` recomputes and compares.
 The two ``group_case`` entries realize a semisimple adjoint group as a
-homogeneous space for two copies of itself: the weight lattice is the
-antidiagonal copy of the root lattice and the color functionals are the
-simple coroots restricted to it.
+homogeneous space for two copies of itself, built by ``_group_case``
+from the Cartan matrix: the weight lattice is the antidiagonal copy of
+the root lattice and the color functionals are the simple coroots
+restricted to it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .documents import dumps_document, parse
+from .root_data import ADJOINT, SIMPLY_CONNECTED, cartan_matrix
 from .spherical import PiResult, _p_prime_pi, full_report
 
 CHARACTERISTICS = (1, 2, 3, 5)
@@ -49,24 +51,20 @@ class EntryRun:
 
 
 _TRIVIAL = ExpectedPi(0, ())
+_Expected = dict[int, tuple[ExpectedPi, ExpectedPi]]
 
 
 def _finite(*factors: int) -> ExpectedPi:
     return ExpectedPi(0, factors)
 
 
-def _all_p(pi0: ExpectedPi, pi1: ExpectedPi) -> dict[int, tuple[ExpectedPi, ExpectedPi]]:
+def _all_p(pi0: ExpectedPi, pi1: ExpectedPi) -> _Expected:
     return {p: (pi0, pi1) for p in CHARACTERISTICS}
 
 
-def _except_at(
-    base: dict[int, tuple[ExpectedPi, ExpectedPi]],
-    p: int,
-    value: tuple[ExpectedPi, ExpectedPi],
-) -> dict[int, tuple[ExpectedPi, ExpectedPi]]:
-    out = dict(base)
-    out[p] = value
-    return out
+def _away_from(p: int, pi0: ExpectedPi, pi1: ExpectedPi) -> _Expected:
+    """``pi0`` and ``pi1`` at every catalog p but ``p``, where both are trivial."""
+    return {q: (_TRIVIAL, _TRIVIAL) if q == p else (pi0, pi1) for q in CHARACTERISTICS}
 
 
 def _standard_a1(isogeny: str) -> dict:
@@ -80,151 +78,84 @@ def _standard_a1(isogeny: str) -> dict:
     }
 
 
-def _torus_doc(name: str, rank: int) -> dict:
+def _explicit(rank: int, roots: list, coroots: list) -> dict:
     return {
-        "label": name,
-        "p": 1,
-        "root_datum": {
-            "explicit": {"rank": rank, "simple_roots": [], "simple_coroots": []}
-        },
-        "lattice": [
-            [int(i == j) for j in range(rank)] for i in range(rank)
-        ],
-        "colors": [],
+        "explicit": {"rank": rank, "simple_roots": roots, "simple_coroots": coroots}
     }
 
 
+def _entry(
+    name: str,
+    root_datum: dict,
+    lattice: list,
+    colors: list,
+    expected: _Expected,
+) -> CatalogEntry:
+    """An entry whose document is labelled by its name and has ``p = 1``."""
+    doc = {
+        "label": name,
+        "p": 1,
+        "root_datum": root_datum,
+        "lattice": lattice,
+        "colors": colors,
+    }
+    return CatalogEntry(name, dumps_document(doc), expected)
+
+
+def _unit_vectors(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _group_case(series: str, n: int, expected: _Expected) -> CatalogEntry:
+    """The adjoint group of a type as a space for two copies of itself.
+
+    The roots are the standard basis of Z^2n, the coroots the Cartan rows
+    of each copy, the weights e_k - e_(n+k), and the colors the Cartan
+    rows, which are the restricted coroots of the first copy.
+    """
+    cartan = [list(row) for row in cartan_matrix(series, n).entries]
+    unit, zero = _unit_vectors(2 * n), [0] * n
+    coroots = [c + zero for c in cartan] + [zero + c for c in cartan]
+    weights = [[a - b for a, b in zip(unit[k], unit[n + k])] for k in range(n)]
+    name = f"group_case_{series}{n}_adjoint"
+    return _entry(name, _explicit(2 * n, unit, coroots), weights, cartan, expected)
+
+
 def _entries() -> tuple[CatalogEntry, ...]:
-    entries = []
-
-    # SL(2) modulo a maximal torus: weight lattice generated by the root,
-    # two colors each taking value 1 on it.  Saturation adds nothing.
-    entries.append(
-        CatalogEntry(
+    z2 = _away_from(2, _finite(2), _finite(2))
+    return (
+        # SL(2) modulo a maximal torus: weight lattice generated by the
+        # root, two colors each taking value 1 on it.  Saturation adds
+        # nothing.
+        _entry(
             "sl2_mod_torus",
-            dumps_document(
-                {
-                    "label": "sl2_mod_torus",
-                    "p": 1,
-                    "root_datum": _standard_a1("simply-connected"),
-                    "lattice": [[2]],
-                    "colors": [[1], [1]],
-                }
-            ),
+            _standard_a1(SIMPLY_CONNECTED),
+            [[2]],
+            [[1], [1]],
             _all_p(_TRIVIAL, _TRIVIAL),
-        )
-    )
-
-    # SL(2) modulo the normalizer of a maximal torus: weight lattice is
-    # twice the root, one color of value 2.  Index two everywhere, so the
-    # answer is Z/2 away from characteristic 2 and invisible at p = 2.
-    entries.append(
-        CatalogEntry(
-            "sl2_mod_normalizer",
-            dumps_document(
-                {
-                    "label": "sl2_mod_normalizer",
-                    "p": 1,
-                    "root_datum": _standard_a1("simply-connected"),
-                    "lattice": [[4]],
-                    "colors": [[2]],
-                }
-            ),
-            _except_at(
-                _all_p(_finite(2), _finite(2)), 2, (_TRIVIAL, _TRIVIAL)
-            ),
-        )
-    )
-
-    # Same quotient in adjoint coordinates.
-    entries.append(
-        CatalogEntry(
-            "pgl2_mod_normalizer",
-            dumps_document(
-                {
-                    "label": "pgl2_mod_normalizer",
-                    "p": 1,
-                    "root_datum": _standard_a1("adjoint"),
-                    "lattice": [[2]],
-                    "colors": [[2]],
-                }
-            ),
-            _except_at(
-                _all_p(_finite(2), _finite(2)), 2, (_TRIVIAL, _TRIVIAL)
-            ),
-        )
-    )
-
-    for n in (1, 2):
-        entries.append(
-            CatalogEntry(
+        ),
+        # SL(2) modulo the normalizer of a maximal torus: weight lattice is
+        # twice the root, one color of value 2.  Index two everywhere, so
+        # the answer is Z/2 away from characteristic 2 and invisible at
+        # p = 2.
+        _entry("sl2_mod_normalizer", _standard_a1(SIMPLY_CONNECTED), [[4]], [[2]], z2),
+        # Same quotient in adjoint coordinates.
+        _entry("pgl2_mod_normalizer", _standard_a1(ADJOINT), [[2]], [[2]], z2),
+        *(
+            _entry(
                 f"torus_rank_{n}",
-                dumps_document(_torus_doc(f"torus_rank_{n}", n)),
+                _explicit(n, [], []),
+                _unit_vectors(n),
+                [],
                 _all_p(_TRIVIAL, ExpectedPi(n, ())),
             )
-        )
-
-    # Adjoint group of type A1 as a space for two copies of itself.
-    entries.append(
-        CatalogEntry(
-            "group_case_A1_adjoint",
-            dumps_document(
-                {
-                    "label": "group_case_A1_adjoint",
-                    "p": 1,
-                    "root_datum": {
-                        "explicit": {
-                            "rank": 2,
-                            "simple_roots": [[1, 0], [0, 1]],
-                            "simple_coroots": [[2, 0], [0, 2]],
-                        }
-                    },
-                    "lattice": [[1, -1]],
-                    "colors": [[2]],
-                }
-            ),
-            _except_at(
-                _all_p(_TRIVIAL, _finite(2)), 2, (_TRIVIAL, _TRIVIAL)
-            ),
-        )
+            for n in (1, 2)
+        ),
+        _group_case("A", 1, _away_from(2, _TRIVIAL, _finite(2))),
+        # The colors of A2 are the rows of its Cartan matrix, whose
+        # elementary divisors are 1 and 3.
+        _group_case("A", 2, _away_from(3, _TRIVIAL, _finite(3))),
     )
-
-    # Adjoint group of type A2; the colors are the rows of the A2 Cartan
-    # matrix, whose elementary divisors are 1 and 3.
-    entries.append(
-        CatalogEntry(
-            "group_case_A2_adjoint",
-            dumps_document(
-                {
-                    "label": "group_case_A2_adjoint",
-                    "p": 1,
-                    "root_datum": {
-                        "explicit": {
-                            "rank": 4,
-                            "simple_roots": [
-                                [1, 0, 0, 0],
-                                [0, 1, 0, 0],
-                                [0, 0, 1, 0],
-                                [0, 0, 0, 1],
-                            ],
-                            "simple_coroots": [
-                                [2, -1, 0, 0],
-                                [-1, 2, 0, 0],
-                                [0, 0, 2, -1],
-                                [0, 0, -1, 2],
-                            ],
-                        }
-                    },
-                    "lattice": [[1, 0, -1, 0], [0, 1, 0, -1]],
-                    "colors": [[2, -1], [-1, 2]],
-                }
-            ),
-            _except_at(
-                _all_p(_TRIVIAL, _finite(3)), 3, (_TRIVIAL, _TRIVIAL)
-            ),
-        )
-    )
-    return tuple(entries)
 
 
 _CATALOG = _entries()

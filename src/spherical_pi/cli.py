@@ -15,7 +15,7 @@ from .documents import ParseError, format_pi, parse, serialize_report
 from .intmat import snf
 from .lattices import smith_quotient
 from .oracle import enumerate_torsion, structure_match
-from .spherical import ValidationError, _require_pass, full_report, validate
+from .spherical import PASS, ValidationError, _require_pass, full_report, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,10 +44,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     sd = _load(args.file)
-    outcomes = validate(sd, strict=False)
+    outcomes = validate(sd)
     for o in outcomes:
         print(f"[{o.level}] {o.check}: {o.message}")
-    if args.strict and any(o.level != "pass" for o in outcomes):
+    if args.strict and any(o.level != PASS for o in outcomes):
         print("validation failed", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK

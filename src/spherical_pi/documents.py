@@ -46,9 +46,10 @@ MAX_RANK = 512
 MAX_COLORS = 2 * MAX_RANK
 MAX_ENTRY_BITS = 256
 
-_TOP_KEYS = {"label", "p", "root_datum", "lattice", "colors"}
-_STANDARD_KEYS = {"type", "rank", "isogeny", "central_torus_rank"}
-_EXPLICIT_KEYS = {"rank", "simple_roots", "simple_coroots"}
+# the keys of each object, in the order of the documentation
+_TOP_KEYS = ("label", "p", "root_datum", "lattice", "colors")
+_STANDARD_KEYS = ("type", "rank", "isogeny", "central_torus_rank")
+_EXPLICIT_KEYS = ("rank", "simple_roots", "simple_coroots")
 
 
 class ParseError(ValueError):
@@ -61,11 +62,12 @@ def _expect_object(value: Any, where: str) -> dict:
     return value
 
 
-def _expect_keys(obj: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _expect_keys(obj: dict, keys: tuple[str, ...], where: str) -> None:
+    """Exactly ``keys``; an error names the first offender in order."""
     for k in obj:
-        if k not in allowed:
+        if k not in keys:
             raise ParseError(f"unknown key '{k}' in {where}")
-    for k in required:
+    for k in keys:
         if k not in obj:
             raise ParseError(f"missing required key '{k}' in {where}")
 
@@ -103,11 +105,11 @@ def _expect_vector(value: Any, where: str, length: int) -> tuple[int, ...]:
 
 
 def _expect_vector_list(
-    value: Any, where: str, length: int, cap: int | None = None
+    value: Any, where: str, length: int, cap: int
 ) -> list[tuple[int, ...]]:
     if not isinstance(value, list):
         raise ParseError(f"'{where}' must be a list of integer vectors")
-    if cap is not None and len(value) > cap:
+    if len(value) > cap:
         raise ParseError(f"'{where}' has {len(value)} rows, above the cap of {cap}")
     return [_expect_vector(v, f"{where}[{i}]", length) for i, v in enumerate(value)]
 
@@ -121,7 +123,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
     obj = _expect_object(raw, "root_datum")
     if set(obj) == {"standard"}:
         std = _expect_object(obj["standard"], "root_datum.standard")
-        _expect_keys(std, _STANDARD_KEYS, _STANDARD_KEYS, "'root_datum.standard'")
+        _expect_keys(std, _STANDARD_KEYS, "'root_datum.standard'")
         series = _expect_str(std["type"], "root_datum.standard.type")
         rank = _expect_int(std["rank"], "root_datum.standard.rank")
         isogeny = _expect_str(std["isogeny"], "root_datum.standard.isogeny")
@@ -140,7 +142,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
             raise ParseError(f"'root_datum.standard': {exc}") from exc
     if set(obj) == {"explicit"}:
         exp = _expect_object(obj["explicit"], "root_datum.explicit")
-        _expect_keys(exp, _EXPLICIT_KEYS, _EXPLICIT_KEYS, "'root_datum.explicit'")
+        _expect_keys(exp, _EXPLICIT_KEYS, "'root_datum.explicit'")
         rank = _expect_int(exp["rank"], "root_datum.explicit.rank")
         _check_rank_cap(rank, "'root_datum.explicit.rank'")
         # at most rank vectors of Z^rank are independent
@@ -176,7 +178,7 @@ def parse(text: str) -> SphericalDatum:
     except RecursionError as exc:
         raise ParseError("the document nests too deeply to read") from exc
     obj = _expect_object(raw, "document")
-    _expect_keys(obj, _TOP_KEYS, _TOP_KEYS, "the document")
+    _expect_keys(obj, _TOP_KEYS, "the document")
     label = _expect_str(obj["label"], "label")
     p = _expect_int(obj["p"], "p")
     rd = _parse_root_datum(obj["root_datum"])
@@ -212,7 +214,7 @@ def document_dict(sd: SphericalDatum) -> dict:
 
 
 def dumps_document(doc: dict) -> str:
-    """Canonical text of a document dict: sorted keys, two-space indent."""
+    """Canonical JSON text of a document or report: sorted keys, two-space indent."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -278,7 +280,7 @@ def serialize_report(report: Report, format: str = "text") -> str:
     golden files.
     """
     if format == "structured":
-        return json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
+        return dumps_document(report_dict(report))
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     p = report.datum.char_exponent

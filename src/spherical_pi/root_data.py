@@ -110,10 +110,14 @@ class RootDatum:
                     f"root or coroot of length {len(v)}, expected {self.rank}"
                 )
         n = len(roots)
-        pairings = self.pairing_matrix().entries
-        for i in range(n):
-            for j in range(n):
-                pairing = pairings[i][j]
+        root_matrix = self.root_matrix()
+        pairings = []
+        for i, coroot in enumerate(coroots):
+            # row i is checked before row i + 1 is built, so data that fail
+            # early pay for a row of the product, not all of it
+            row = (IntMatrix._trusted(1, self.rank, (coroot,)) @ root_matrix)[0]
+            pairings.append(row)
+            for j, pairing in enumerate(row):
                 if i == j:
                     if pairing != 2:
                         raise ValueError(
@@ -130,7 +134,7 @@ class RootDatum:
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
         if n:
-            if _rank(self.root_matrix()) != n:
+            if _rank(root_matrix) != n:
                 raise ValueError("simple roots are linearly dependent")
             if _rank(self.coroot_matrix()) != n:
                 raise ValueError("simple coroots are linearly dependent")

@@ -146,20 +146,17 @@ class Report:
             raise ValueError("pi0 cannot have profinite factors")
 
 
-def validate(sd: SphericalDatum, strict: bool = False) -> tuple[CheckOutcome, ...]:
+def validate(sd: SphericalDatum) -> tuple[CheckOutcome, ...]:
     """Run the input sanity checks.
 
     The structural checks (embedding rank, characteristic exponent) are
     enforced at construction already and are reported as passes.  The
     substantial check is that every simple coroot, restricted to the
     weight lattice, is an integer combination of the color functionals;
-    genuine homogeneous data always satisfies it, so a failure is an
-    error under ``strict`` and a warning otherwise.
+    genuine homogeneous data always satisfies it, so a failure is a
+    warning, which :func:`_require_pass` turns into an error.
     """
-    outcomes = _checks(sd, snf(sd.colors, with_u=False))
-    if strict:
-        _require_pass(outcomes)
-    return outcomes
+    return _checks(sd, snf(sd.colors, with_u=False))
 
 
 def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:

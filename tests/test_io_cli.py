@@ -1,10 +1,14 @@
 """Document format, report rendering, catalog, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from spherical_pi.catalog import CHARACTERISTICS, catalog, catalog_entry, run_entry
+from spherical_pi import documents
 from spherical_pi.cli import main
 from spherical_pi.documents import (
     MAX_COLORS,
@@ -43,6 +47,26 @@ def doc_text(**overrides):
     return json.dumps(doc)
 
 
+# each misses more than one key of an object; the first in order is named
+MISSING_SEVERAL = (
+    {"label": "x"},
+    {
+        "label": "x",
+        "p": 1,
+        "root_datum": {"standard": {"type": "A"}},
+        "lattice": [],
+        "colors": [],
+    },
+    {
+        "label": "x",
+        "p": 1,
+        "root_datum": {"explicit": {"simple_coroots": []}},
+        "lattice": [],
+        "colors": [],
+    },
+)
+
+
 class TestParse:
     def test_catalog_documents_parse(self):
         for entry in catalog():
@@ -64,6 +88,38 @@ class TestParse:
         del doc["colors"]
         with pytest.raises(ParseError, match="colors"):
             parse(json.dumps(doc))
+
+    def test_first_missing_key_is_named_under_every_hash_seed(self):
+        # keys are checked in the documented order, so a document missing
+        # several of them gets the same message whatever the string hashes
+        script = (
+            "from spherical_pi.documents import ParseError, parse\n"
+            "for text in "
+            + repr([json.dumps(d) for d in MISSING_SEVERAL])
+            + ":\n"
+            "    try:\n"
+            "        parse(text)\n"
+            "    except ParseError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(documents.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        outputs = set()
+        for seed in range(8):
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.add(done.stdout)
+        assert outputs == {
+            "missing required key 'p' in the document\n"
+            "missing required key 'rank' in 'root_datum.standard'\n"
+            "missing required key 'rank' in 'root_datum.explicit'\n"
+        }
 
     def test_unknown_top_level_key(self):
         doc = json.loads(doc_text())

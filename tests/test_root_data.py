@@ -1,6 +1,7 @@
 """Root data: Cartan tables, standard builds, coroot saturations."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -176,6 +177,20 @@ class TestRootDatum:
     def test_dependent_roots_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+
+    def test_a_bad_first_pairing_fails_before_the_rest_is_built(self):
+        # rank 512, the parse cap, with 64-bit entries: <coroot_0, root_0>
+        # is checked after one row of the pairing product, not all of it
+        rng = random.Random(512)
+        n = 512
+        roots, coroots = (
+            tuple(tuple(rng.getrandbits(64) for _ in range(n)) for _ in range(n))
+            for _ in range(2)
+        )
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"<coroot_0, root_0> = \d+, expected 2"):
+            RootDatum(n, roots, coroots)
+        assert time.perf_counter() - start < 1.0
 
     def test_label_ignored_in_equality(self):
         a = RootDatum(1, ((2,),), ((1,),), label="x")

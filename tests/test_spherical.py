@@ -24,7 +24,6 @@ from spherical_pi.spherical import (
     PiResult,
     Report,
     SphericalDatum,
-    ValidationError,
     ambient_color_saturation,
     ambient_saturation_quotient,
     color_saturation,
@@ -165,13 +164,8 @@ class TestValidate:
         span = next(o for o in outcomes if o.check == "coroot-span")
         assert span.level == WARN
 
-    def test_strict_raises_on_warning(self):
-        sd = a1_datum(SIMPLY_CONNECTED, [[4]], [[3]])
-        with pytest.raises(ValidationError):
-            validate(sd, strict=True)
-
     def test_torus_vacuously_passes(self):
-        outcomes = validate(torus_datum(2), strict=True)
+        outcomes = validate(torus_datum(2))
         assert all(o.level == PASS for o in outcomes)
 
 
@@ -291,7 +285,7 @@ class TestGroupCases:
             assert pi0_p_prime(self.group_case_a2(p)) == PiResult(0, (), p)
 
     def test_validation_passes(self):
-        outcomes = validate(self.group_case_a2(), strict=True)
+        outcomes = validate(self.group_case_a2())
         assert all(o.level == PASS for o in outcomes)
 
     def group_case_simply_connected(self, series, rank, p=1):
@@ -324,7 +318,7 @@ class TestGroupCases:
         assert pi0_p_prime(sd2.with_char_exponent(3)) == PiResult(0, (), 3)
         sd1 = self.group_case_simply_connected("A", 1)
         assert pi0_p_prime(sd1) == PiResult(0, (2,), 1)
-        assert all(o.level == PASS for o in validate(sd2, strict=True))
+        assert all(o.level == PASS for o in validate(sd2))
 
 
 class TestFullReport:
