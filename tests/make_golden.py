@@ -31,6 +31,7 @@ import io
 import json
 import os
 import random
+import shutil
 import sys
 import tempfile
 
@@ -107,12 +108,8 @@ def _unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return u
 
 
-def _times(a: list[list[int]], b: list[list[int]], inner: int) -> list[list[int]]:
-    cols = len(b[0]) if b else 0
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for row in a
-    ]
+def _times(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _explicit(rank: int, roots: list, coroots: list) -> dict:
@@ -183,8 +180,8 @@ def _group(rng: random.Random) -> dict:
     u_t = [list(col) for col in zip(*u)]
     return {
         "root_datum": _explicit(2 * n, roots, coroots),
-        "lattice": _times(u, weights, n),
-        "colors": _times(colors, u_t, n),
+        "lattice": _times(u, weights),
+        "colors": _times(colors, u_t),
     }
 
 
@@ -202,7 +199,12 @@ def _warn_twin(rng: random.Random) -> dict:
     return doc
 
 
-_MAKERS = {"torus": _torus, "standard": _standard, "group": _group, "warn_twin": _warn_twin}
+_MAKERS = {
+    "torus": _torus,
+    "standard": _standard,
+    "group": _group,
+    "warn_twin": _warn_twin,
+}
 
 
 def random_documents() -> list[tuple[str, str]]:
@@ -244,7 +246,8 @@ def golden_files() -> dict[str, str]:
                     files[f"reports/{entry.name}.p{p}.{ext}"] = _compute(path, p, fmt)
             for n in ORACLE_MODULI:
                 code, out, err = _run_cli(["oracle", path, "--torsion", str(n)])
-                oracle.append(f"$ oracle {entry.name} --torsion {n}\nexit {code}\n{out}{err}")
+                head = f"$ oracle {entry.name} --torsion {n}\nexit {code}\n"
+                oracle.append(head + out + err)
         files["oracle.txt"] = "".join(oracle)
 
         code, out, err = _run_cli(["catalog", "run-all"])
@@ -273,8 +276,10 @@ def golden_files() -> dict[str, str]:
     return files
 
 
-def main_write() -> None:
+def write_golden_files() -> None:
+    """Replace the contents of ``golden/`` with today's outputs."""
     files = golden_files()
+    shutil.rmtree(GOLDEN_DIR, ignore_errors=True)
     for name, text in files.items():
         path = os.path.join(GOLDEN_DIR, name)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -284,4 +289,4 @@ def main_write() -> None:
 
 
 if __name__ == "__main__":
-    main_write()
+    write_golden_files()
