@@ -1,4 +1,4 @@
-"""Small number-theoretic helpers.
+"""Small number-theoretic helpers and the one rule for counts.
 
 Everything here runs at desk scale (characteristic exponents below
 2**32, torsion moduli below the enumeration budget), so plain trial
@@ -42,6 +42,14 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _check_count(n: object, name: str) -> None:
+    """Raise unless n is a nonnegative int (a bool is not)."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
 def _check_char_exponent(p: object) -> None:

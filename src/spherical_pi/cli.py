@@ -15,7 +15,7 @@ from .documents import ParseError, format_pi, parse, serialize_report
 from .intmat import snf
 from .lattices import smith_quotient
 from .oracle import enumerate_torsion, structure_match
-from .spherical import PASS, ValidationError, _require_pass, full_report, validate
+from .spherical import ValidationError, _require_pass, full_report, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -47,9 +47,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     outcomes = validate(sd)
     for o in outcomes:
         print(f"[{o.level}] {o.check}: {o.message}")
-    if args.strict and any(o.level != PASS for o in outcomes):
-        print("validation failed", file=sys.stderr)
-        return EXIT_VALIDATION
+    if args.strict:
+        _require_pass(outcomes)
     return EXIT_OK
 
 
@@ -148,9 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -153,7 +153,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
             exp["simple_coroots"], "root_datum.explicit.simple_coroots", rank, rank
         )
         try:
-            return RootDatum(rank, tuple(roots), tuple(coroots), label="explicit")
+            return RootDatum(rank, tuple(roots), tuple(coroots))
         except ValueError as exc:
             raise ParseError(f"'root_datum.explicit': {exc}") from exc
     raise ParseError(

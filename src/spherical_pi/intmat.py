@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .arith import _check_count
+
 
 class DimensionError(ValueError):
     """Operand shapes do not line up."""
@@ -54,8 +56,8 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionError("matrix dimensions must be nonnegative")
+        _check_count(self.rows, "row count")
+        _check_count(self.cols, "column count")
         # stored as a tuple of tuples whatever sequences came in
         entries = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", entries)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import _check_char_exponent
+from .arith import _check_char_exponent, _check_count
 from .intmat import DimensionError, IntMatrix, SnfResult, snf
 
 Vector = tuple[Fraction, ...]
@@ -22,14 +22,6 @@ Vector = tuple[Fraction, ...]
 
 def _vec(entries: Iterable) -> Vector:
     return tuple(Fraction(x) for x in entries)
-
-
-def _check_rank(n: object, name: str) -> None:
-    """Raise unless n is a nonnegative int (a bool is not)."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise TypeError(f"{name} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 def _factor_chain(factors: Iterable[int]) -> tuple[int, ...]:
@@ -60,7 +52,7 @@ class FinGenAbQuotient:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_rank(self.divisible_rank, "divisible rank")
+        _check_count(self.divisible_rank, "divisible rank")
         object.__setattr__(
             self, "invariant_factors", _factor_chain(self.invariant_factors)
         )

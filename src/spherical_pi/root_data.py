@@ -9,8 +9,9 @@ other isogeny type can be entered through explicit matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .arith import _check_count
 from .intmat import DimensionError, IntMatrix, _check_int, _rank
 
 SIMPLY_CONNECTED = "simply-connected"
@@ -36,6 +37,7 @@ def cartan_matrix(series: str, rank: int) -> IntMatrix:
     s = series.upper()
     if s not in _RANK_RANGES:
         raise ValueError(f"unknown series {series!r}")
+    _check_count(rank, "rank")
     lo, hi = _RANK_RANGES[s]
     if rank < lo or (hi is not None and rank > hi):
         raise ValueError(f"series {s} has no rank-{rank} member")
@@ -84,7 +86,6 @@ class RootDatum:
     rank: int
     simple_roots: tuple[tuple[int, ...], ...] = ()
     simple_coroots: tuple[tuple[int, ...], ...] = ()
-    label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         for name in ("simple_roots", "simple_coroots"):
@@ -97,8 +98,7 @@ class RootDatum:
                         _check_int(x)
                 vectors.append(v)
             object.__setattr__(self, name, tuple(vectors))
-        if self.rank < 0:
-            raise DimensionError("rank must be nonnegative")
+        _check_count(self.rank, "rank")
         roots, coroots = self.simple_roots, self.simple_coroots
         if len(roots) != len(coroots):
             raise DimensionError(
@@ -173,8 +173,7 @@ def build_standard(
     and the coroots are the Cartan matrix rows.  A central torus appends
     coordinates on which all roots and coroots vanish.
     """
-    if central_torus_rank < 0:
-        raise ValueError("central torus rank must be nonnegative")
+    _check_count(central_torus_rank, "central torus rank")
     c = cartan_matrix(series, rank)
     n = rank
     pad = (0,) * central_torus_rank
@@ -183,19 +182,14 @@ def build_standard(
         coroots = tuple(
             tuple(int(i == j) for j in range(n)) + pad for i in range(n)
         )
-        tag = "sc"
     elif isogeny == ADJOINT:
         roots = tuple(tuple(int(i == j) for j in range(n)) + pad for i in range(n))
         coroots = tuple(c[i] + pad for i in range(n))
-        tag = "ad"
     else:
         raise ValueError(
             f"isogeny must be {SIMPLY_CONNECTED!r} or {ADJOINT!r}, got {isogeny!r}"
         )
-    label = f"{series.upper()}{rank}-{tag}"
-    if central_torus_rank:
-        label += f" x T^{central_torus_rank}"
-    return RootDatum(n + central_torus_rank, roots, coroots, label=label)
+    return RootDatum(n + central_torus_rank, roots, coroots)
 
 
 def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:

@@ -22,12 +22,11 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 
-from .arith import _check_char_exponent
+from .arith import _check_char_exponent, _check_count
 from .intmat import DimensionError, IntMatrix, SnfResult, _rank, snf, stack_rows
 from .lattices import (
     FinGenAbQuotient,
     SaturatedSet,
-    _check_rank,
     _factor_chain,
     dual_saturation,
     p_prime_part,
@@ -61,6 +60,8 @@ class SphericalDatum:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not self.label.isprintable():
+            raise ValueError(f"label must be printable, got {self.label!r}")
         if self.lattice_embedding.rows != self.root_datum.rank:
             raise DimensionError(
                 f"lattice embedding has {self.lattice_embedding.rows} rows, "
@@ -110,7 +111,7 @@ class PiResult:
     p: int
 
     def __post_init__(self) -> None:
-        _check_rank(self.zhat_rank, "zhat rank")
+        _check_count(self.zhat_rank, "zhat rank")
         _check_char_exponent(self.p)
         factors = _factor_chain(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", factors)

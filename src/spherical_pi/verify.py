@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .arith import _check_count
 from .intmat import (
     DimensionError,
     IntMatrix,
@@ -249,8 +250,7 @@ class Lattice:
     basis: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
-        if self.ambient_rank < 0:
-            raise DimensionError("ambient rank must be nonnegative")
+        _check_count(self.ambient_rank, "ambient rank")
         basis = tuple(_vec_of_length(v, self.ambient_rank) for v in self.basis)
         object.__setattr__(self, "basis", basis)
         if _rational_rank(basis, self.ambient_rank) != len(basis):
@@ -331,9 +331,9 @@ def quotient(big: Lattice, small: Lattice) -> FinGenAbQuotient:
     return smith_quotient(coords_snf)
 
 
-def torus(rank: int, label: str | None = None) -> RootDatum:
+def torus(rank: int) -> RootDatum:
     """Datum of a torus: no roots, no coroots."""
-    return RootDatum(rank, (), (), label=label if label is not None else f"T^{rank}")
+    return RootDatum(rank, (), ())
 
 
 def product(a: RootDatum, b: RootDatum) -> RootDatum:
@@ -346,8 +346,7 @@ def product(a: RootDatum, b: RootDatum) -> RootDatum:
     coroots = tuple(v + right for v in a.simple_coroots) + tuple(
         left + v for v in b.simple_coroots
     )
-    label = f"{a.label} x {b.label}" if a.label and b.label else ""
-    return RootDatum(a.rank + b.rank, roots, coroots, label=label)
+    return RootDatum(a.rank + b.rank, roots, coroots)
 
 
 def coroot_saturation(rd: RootDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:

@@ -393,6 +393,31 @@ class TestCli:
         path = self.write(tmp_path, doc_text(colors=[[3]]))
         assert main(["compute", path, "--strict"]) == 1
 
+    def test_validate_and_compute_strict_print_the_same_failure(
+        self, tmp_path, capsys
+    ):
+        # the A1 group case with its colors doubled misses both coroots
+        doc = json.loads(catalog_entry("group_case_A1_adjoint").document)
+        doc["colors"] = [[2 * x for x in row] for row in doc["colors"]]
+        path = self.write(tmp_path, json.dumps(doc))
+        errs = []
+        for command in ("validate", "compute"):
+            assert main([command, path, "--strict"]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            "validation error: restricted simple coroot(s) 0, 1 lie outside "
+            "the integer row span of the color functionals\n"
+        )
+
+    def test_a_label_cannot_forge_report_lines(self, tmp_path, capsys):
+        doc = json.loads(catalog_entry("torus_rank_1").document)
+        doc["label"] = label = "a\nsaturation quotient: Z/7"
+        path = self.write(tmp_path, json.dumps(doc))
+        assert main(["compute", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(label) in captured.err
+
     def test_catalog_list(self, capsys):
         assert main(["catalog", "list"]) == 0
         out = capsys.readouterr().out.splitlines()

@@ -14,6 +14,8 @@ from spherical_pi.lattices import (
     p_prime_part,
 )
 from spherical_pi.oracle import enumerate_torsion, structure_match
+from spherical_pi.root_data import ADJOINT, RootDatum, build_standard, cartan_matrix
+from spherical_pi.spherical import PiResult
 from spherical_pi.verify import (
     Lattice,
     NotASublatticeError,
@@ -88,6 +90,36 @@ class TestFinGenAbQuotient:
     def test_infinite_order(self):
         with pytest.raises(ValueError):
             FinGenAbQuotient(1, ()).order()
+
+
+# every count a constructor takes, as a function of that count alone
+COUNT_SITES = {
+    "IntMatrix rows": lambda n: IntMatrix(n, 0, ()),
+    "IntMatrix cols": lambda n: IntMatrix(0, n, ()),
+    "RootDatum rank": lambda n: RootDatum(n),
+    "cartan_matrix rank": lambda n: cartan_matrix("A", n),
+    "build_standard central_torus_rank": lambda n: build_standard("A", 1, ADJOINT, n),
+    "FinGenAbQuotient divisible_rank": lambda n: FinGenAbQuotient(n, ()),
+    "PiResult zhat_rank": lambda n: PiResult(n, (), 1),
+    "Lattice ambient_rank": lambda n: Lattice(n, ()),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+@pytest.mark.parametrize(
+    "count, error, message",
+    [
+        (True, TypeError, "must be an int, got bool"),
+        (2.0, TypeError, "must be an int, got float"),
+        (-1, ValueError, "must be nonnegative"),
+    ],
+    ids=("bool", "float", "negative"),
+)
+def test_every_count_rejects_a_bool_a_float_and_a_negative(
+    site, count, error, message
+):
+    with pytest.raises(error, match=message):
+        COUNT_SITES[site](count)
 
 
 class TestPPrimePart:

@@ -192,11 +192,6 @@ class TestRootDatum:
             RootDatum(n, roots, coroots)
         assert time.perf_counter() - start < 1.0
 
-    def test_label_ignored_in_equality(self):
-        a = RootDatum(1, ((2,),), ((1,),), label="x")
-        b = RootDatum(1, ((2,),), ((1,),), label="y")
-        assert a == b
-
 
 class TestBuildStandard:
     def test_a1_simply_connected(self):

@@ -270,7 +270,7 @@ def ambient_case(rng, kind, r):
     bits in the colors and the embedding.  ``fewer`` and ``product`` raise
     r to at least 1.
     """
-    r = max(r, kind in ("fewer", "product"))
+    r = max(r, int(kind in ("fewer", "product")))
     bits = rng.choice((3, 3, 3, 3, 200))
 
     def draw(rows, cols, bound=2**bits):

@@ -105,6 +105,15 @@ class TestSphericalDatum:
         with pytest.raises(DimensionError):
             a1_datum(SIMPLY_CONNECTED, [[2]], [[1, 1]])
 
+    @pytest.mark.parametrize("label", ["a\tb", "a\x7fb", "a\u2028b"])
+    def test_rejects_a_label_that_is_not_printable(self, label):
+        with pytest.raises(ValueError, match="must be printable"):
+            a1_datum(SIMPLY_CONNECTED, [[4]], [[2]], label=label)
+
+    def test_accepts_a_printable_non_ascii_label(self):
+        sd = a1_datum(SIMPLY_CONNECTED, [[4]], [[2]], label="\u00e9")
+        assert sd.label == "\u00e9"
+
     def test_with_char_exponent(self):
         sd = sl2_mod_normalizer(1)
         assert sd.with_char_exponent(5).char_exponent == 5
