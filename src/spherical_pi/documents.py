@@ -143,8 +143,11 @@ def _parse_root_datum(raw: Any) -> RootDatum:
     if set(obj) == {"explicit"}:
         exp = _expect_object(obj["explicit"], "root_datum.explicit")
         _expect_keys(exp, _EXPLICIT_KEYS, "'root_datum.explicit'")
-        rank = _expect_int(exp["rank"], "root_datum.explicit.rank")
-        _check_rank_cap(rank, "'root_datum.explicit.rank'")
+        where = "root_datum.explicit.rank"
+        rank = _expect_int(exp["rank"], where)
+        if rank < 0:
+            raise ParseError(f"'{where}' must be nonnegative, got {rank}")
+        _check_rank_cap(rank, f"'{where}'")
         # at most rank vectors of Z^rank are independent
         roots = _expect_vector_list(
             exp["simple_roots"], "root_datum.explicit.simple_roots", rank, rank

@@ -21,8 +21,10 @@ checked) skip the entry check; the public constructors
 
 ``snf`` produces ``U @ M @ V == S`` with S diagonal, diagonal entries
 positive up to the rank and zero afterwards, and each diagonal entry
-dividing the next, so outputs are bit-reproducible.  The certificates
-are blocks of the one matrix that the elimination works on,
+dividing the next, so outputs are bit-reproducible.  A pivot is made
+positive once, when it is moved into place; later pivots are remainders
+of floor division by it, so they stay positive.  The certificates are
+blocks of the one matrix that the elimination works on,
 ``[[M | I_nr], [I_nc]]``: row operations on the rows of ``M`` carry the
 ``U`` block along and column operations on the columns of ``M`` carry
 the ``V`` block along, and a skipped certificate has no block.
@@ -230,54 +232,36 @@ def _smallest_entry(s: list[list[int]], k: int, nr: int, nc: int) -> tuple[int, 
     return best
 
 
-def _reduce_pivot_col(s: list[list[int]], k: int, nr: int) -> bool:
-    """Zero the entries below the pivot s[k][k] by unimodular row operations.
-
-    Keeps the pivot positive; returns True when anything changed.
-    """
-    changed = False
-    while True:
-        if s[k][k] < 0:
-            _negate_row(s, k)
-            changed = True
-        below = [i for i in range(k + 1, nr) if s[i][k]]
-        if not below:
-            return changed
-        changed = True
+def _clear_col(s: list[list[int]], k: int, nr: int) -> None:
+    """Zero the entries below the positive pivot s[k][k] by row operations."""
+    below = [i for i in range(k + 1, nr) if s[i][k]]
+    while below:
         p = s[k][k]
         for i in below:
             q = s[i][k] // p
             if q:
                 _row_sub(s, i, k, q)
-        below = [i for i in range(k + 1, nr) if s[i][k]]
-        if not below:
-            return changed
-        # the smallest remainder becomes the new, strictly smaller pivot
-        i = min(below, key=lambda t: s[t][k])
-        _swap_rows(s, k, i)
+        # zero rows stay zero; the least remainder is the new, smaller pivot
+        below = [i for i in below if s[i][k]]
+        if below:
+            _swap_rows(s, k, min(below, key=lambda t: s[t][k]))
 
 
-def _reduce_pivot_row(s: list[list[int]], k: int, nc: int) -> bool:
-    """Column-operation mirror of ``_reduce_pivot_col``."""
-    changed = False
-    while True:
-        if s[k][k] < 0:
-            _negate_col(s, k)
-            changed = True
-        right = [j for j in range(k + 1, nc) if s[k][j]]
-        if not right:
-            return changed
-        changed = True
+def _clear_row(s: list[list[int]], k: int, nc: int) -> bool:
+    """Column mirror of ``_clear_col``; True when the row had an entry to clear."""
+    right = [j for j in range(k + 1, nc) if s[k][j]]
+    if not right:
+        return False
+    while right:
         p = s[k][k]
         for j in right:
             q = s[k][j] // p
             if q:
                 _col_sub(s, j, k, q)
-        right = [j for j in range(k + 1, nc) if s[k][j]]
-        if not right:
-            return changed
-        j = min(right, key=lambda t: s[k][t])
-        _swap_cols(s, k, j)
+        right = [j for j in right if s[k][j]]
+        if right:
+            _swap_cols(s, k, min(right, key=lambda t: s[k][t]))
+    return True
 
 
 def _non_divisible_entry(
@@ -308,6 +292,9 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
     Pivots are read off the ``M`` block alone, so ``S``, ``rank`` and a
     kept certificate are the same as those of the full call.  At the end
     ``S`` is the top-left block, ``U`` the top-right and ``V`` the bottom.
+    A pivot is made positive once, when it is moved into place, and stays
+    so: every later pivot is a remainder of floor division by a positive
+    pivot, and the fold adds a row that is 0 in the pivot's column.
     """
     nr, nc = m.rows, m.cols
     s = [list(row) for row in m.entries]
@@ -325,9 +312,12 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
             _swap_rows(s, k, pi)
         if pj != k:
             _swap_cols(s, k, pj)
+        if s[k][k] < 0:
+            _negate_row(s, k)
         while True:
-            while _reduce_pivot_col(s, k, nr) or _reduce_pivot_row(s, k, nc):
-                pass
+            _clear_col(s, k, nr)
+            if _clear_row(s, k, nc):
+                continue
             bad = _non_divisible_entry(s, k, nr, nc)
             if bad is None:
                 break

@@ -60,6 +60,8 @@ class SphericalDatum:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):
+            raise TypeError(f"label must be a str, got {type(self.label).__name__}")
         if not self.label.isprintable():
             raise ValueError(f"label must be printable, got {self.label!r}")
         if self.lattice_embedding.rows != self.root_datum.rank:

@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from spherical_pi.intmat import DimensionError, IntMatrix, snf, stack_rows
+from spherical_pi.root_data import cartan_matrix
 from spherical_pi.verify import det, hnf, mul_vec, solve_in_lattice
 
 
@@ -435,6 +436,35 @@ def kernel_cases():
     return cases
 
 
+def unimodular(rng, n, bound):
+    """Dense unimodular n x n: L @ R, unitriangular with entries in [-bound, bound]."""
+    lower = [[rng.randint(-bound, bound) if j < i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    upper = [[rng.randint(-bound, bound) if j > i else int(i == j) for j in range(n)]
+             for i in range(n)]
+    return mat(lower) @ mat(upper)
+
+
+def large_kernel_cases():
+    """Cartan matrices of rank 8-40 and twice each, and dense planted ``U D V``.
+
+    The planted products have rank 20 and 30 and entries of about 64 bits.
+    """
+    rng = random.Random(4064)
+    cases = []
+    for series, n in (("A", 40), ("B", 30), ("D", 31), ("E", 8)):
+        c = cartan_matrix(series, n)
+        cases += [c, mat([[2 * x for x in row] for row in c.entries])]
+    for n, bound in ((20, 2000), (30, 200)):
+        d, chain = [], 1
+        for _ in range(n):
+            chain *= rng.choice((1, 1, 1, 2, 3, 5))
+            d.append(chain)
+        diag = mat([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        cases.append(unimodular(rng, n, bound) @ diag @ unimodular(rng, n, bound))
+    return cases
+
+
 def kernel_digest(outputs):
     h = hashlib.sha256()
     for out in outputs:
@@ -447,27 +477,35 @@ def entries(m):
     return None if m is None else m.entries
 
 
+def snf_outputs(cases):
+    outputs = []
+    for m in cases:
+        for with_u in (True, False):
+            for with_v in (True, False):
+                res = snf(m, with_u=with_u, with_v=with_v)
+                outputs.append((res.S.entries, entries(res.U), entries(res.V), res.rank))
+    return outputs
+
+
 class TestKernelOutputsArePinned:
     """``snf`` and ``hnf`` give exactly the outputs pinned below.
 
     The digests are sha256 of the repr of every output on ``kernel_cases``,
     recorded from the kernels that updated ``U`` and ``V`` as separate
-    matrices; the block layout must reproduce them bit for bit.
+    matrices; the block layout must reproduce them bit for bit.  The digest
+    on ``large_kernel_cases`` was recorded from the kernel that re-checked
+    the pivot's sign inside both clearing helpers.
     """
 
     SNF_SHA256 = "6931f96afef6ad2175dfc99e20ed486d5e268403193e072b5d3ba52ed58a5f1f"
     HNF_SHA256 = "cd5f28a125cba20feb74e3124646b7688d6fcfabdc4f15b56c980b366ce17e8c"
+    LARGE_SNF_SHA256 = "e809eee69b1df32f1cd07a7163e38117cf8d3e662b2e7ab71f396282f2a82f44"
 
     def test_snf_under_every_flag_combination(self):
-        outputs = []
-        for m in kernel_cases():
-            for with_u in (True, False):
-                for with_v in (True, False):
-                    res = snf(m, with_u=with_u, with_v=with_v)
-                    outputs.append(
-                        (res.S.entries, entries(res.U), entries(res.V), res.rank)
-                    )
-        assert kernel_digest(outputs) == self.SNF_SHA256
+        assert kernel_digest(snf_outputs(kernel_cases())) == self.SNF_SHA256
+
+    def test_snf_on_large_inputs(self):
+        assert kernel_digest(snf_outputs(large_kernel_cases())) == self.LARGE_SNF_SHA256
 
     def test_hnf(self):
         outputs = []

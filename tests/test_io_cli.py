@@ -7,8 +7,15 @@ import sys
 
 import pytest
 
-from spherical_pi.catalog import CHARACTERISTICS, catalog, catalog_entry, run_entry
-from spherical_pi import documents
+from spherical_pi.catalog import (
+    CHARACTERISTICS,
+    CatalogEntry,
+    ExpectedPi,
+    catalog,
+    catalog_entry,
+    run_entry,
+)
+from spherical_pi import cli, documents
 from spherical_pi.cli import main
 from spherical_pi.documents import (
     MAX_COLORS,
@@ -65,6 +72,48 @@ MISSING_SEVERAL = (
         "colors": [],
     },
 )
+
+
+def explicit_doc(rank, roots, coroots, lattice, colors):
+    explicit = {"rank": rank, "simple_roots": roots, "simple_coroots": coroots}
+    return doc_text(root_datum={"explicit": explicit}, lattice=lattice, colors=colors)
+
+
+# one bad field each, with the whole message that names it
+BAD_FIELDS = {
+    "standard-not-object": (
+        doc_text(root_datum={"standard": 3}),
+        "'root_datum.standard' must be an object",
+    ),
+    "label-not-str": (doc_text(label=5), "'label' must be a string"),
+    "type-not-str": (
+        doc_text(
+            root_datum={
+                "standard": {
+                    "type": 1,
+                    "rank": 1,
+                    "isogeny": "simply-connected",
+                    "central_torus_rank": 0,
+                }
+            }
+        ),
+        "'root_datum.standard.type' must be a string",
+    ),
+    "lattice-row-not-list": (doc_text(lattice=[5]), "'lattice[0]' must be a list of integers"),
+    "lattice-not-list": (doc_text(lattice=5), "'lattice' must be a list of integer vectors"),
+    "pairing-not-2": (
+        explicit_doc(1, [[1]], [[3]], [[4]], [[2]]),
+        "'root_datum.explicit': <coroot_0, root_0> = 3, expected 2",
+    ),
+    "p-even-composite": (
+        doc_text(p=4),
+        "characteristic exponent must be 1 or a prime, got 4",
+    ),
+    "explicit-rank-negative": (
+        explicit_doc(-1, [], [], [], []),
+        "'root_datum.explicit.rank' must be nonnegative, got -1",
+    ),
+}
 
 
 class TestParse:
@@ -164,6 +213,12 @@ class TestParse:
         doc["root_datum"] = {}
         with pytest.raises(ParseError, match="standard"):
             parse(json.dumps(doc))
+
+    @pytest.mark.parametrize("text, message", BAD_FIELDS.values(), ids=BAD_FIELDS)
+    def test_a_bad_field_is_named(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == message
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ParseError, match="line"):
@@ -376,6 +431,13 @@ class TestCli:
         assert main(["compute", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_a_negative_explicit_rank_exits_2(self, tmp_path, capsys):
+        text, message = BAD_FIELDS["explicit-rank-negative"]
+        assert main(["compute", self.write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
 
@@ -428,6 +490,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count(" ok") == 4
 
+    def test_catalog_run_reports_a_mismatch(self, capsys, monkeypatch):
+        entry = catalog_entry("sl2_mod_normalizer")
+        wrong = {p: (ExpectedPi(1), ExpectedPi(1)) for p in CHARACTERISTICS}
+        monkeypatch.setattr(
+            cli, "catalog_entry", lambda name: CatalogEntry(name, entry.document, wrong)
+        )
+        assert main(["catalog", "run", "sl2_mod_normalizer"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(CHARACTERISTICS)
+        assert lines[0] == (
+            "sl2_mod_normalizer p=1 pi0=Z/2 pi1=Z/2"
+            " MISMATCH (expected pi0=Zhat_{p'} pi1=Zhat_{p'})"
+        )
+        assert all(" MISMATCH (expected " in line for line in lines)
+
     def test_catalog_run_unknown(self, capsys):
         assert main(["catalog", "run", "nope"]) == 2
 
@@ -445,6 +522,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert "structure match: yes" in out
         assert "order 2: 1" in out
+
+    def test_oracle_reports_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        path = self.write(tmp_path, catalog_entry("sl2_mod_normalizer").document)
+        monkeypatch.setattr(cli, "smith_quotient", lambda res: FinGenAbQuotient(0, (3,)))
+        assert main(["oracle", path, "--torsion", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "structure match: NO\n"
+            "  order 2: sample has 1 elements, predicted group has 0\n"
+        )
 
     def test_rank_above_the_cap_exits_2(self, tmp_path, capsys):
         std = {

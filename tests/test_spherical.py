@@ -95,11 +95,13 @@ class TestSphericalDatum:
                 1,
             )
 
-    def test_embedding_rows_must_match_root_datum(self):
-        with pytest.raises(DimensionError):
-            SphericalDatum(
-                torus(2), mat([[1]]), IntMatrix.from_rows([], cols=1), 1
-            )
+    @pytest.mark.parametrize(
+        "rank, rows", [(2, [[1]]), (1, [[1], [2]])], ids=("fewer-rows", "more-rows")
+    )
+    def test_embedding_rows_must_match_root_datum(self, rank, rows):
+        message = f"lattice embedding has {len(rows)} rows, expected {rank}"
+        with pytest.raises(DimensionError, match=message):
+            SphericalDatum(torus(rank), mat(rows), IntMatrix.from_rows([], cols=1), 1)
 
     def test_color_columns_must_match_rank(self):
         with pytest.raises(DimensionError):
@@ -108,6 +110,12 @@ class TestSphericalDatum:
     @pytest.mark.parametrize("label", ["a\tb", "a\x7fb", "a\u2028b"])
     def test_rejects_a_label_that_is_not_printable(self, label):
         with pytest.raises(ValueError, match="must be printable"):
+            a1_datum(SIMPLY_CONNECTED, [[4]], [[2]], label=label)
+
+    @pytest.mark.parametrize("label", [None, 5])
+    def test_rejects_a_label_that_is_not_a_str(self, label):
+        message = f"label must be a str, got {type(label).__name__}"
+        with pytest.raises(TypeError, match=message):
             a1_datum(SIMPLY_CONNECTED, [[4]], [[2]], label=label)
 
     def test_accepts_a_printable_non_ascii_label(self):
