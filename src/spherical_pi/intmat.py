@@ -8,10 +8,17 @@ multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
 The pipeline asks only for what it reads.  The colors' Smith form takes
 ``V`` only, because the coroot-span check and the ambient quotient (and
 so pi0) read it, and so does ``dual_saturation``.  pi1 and the reduced
-ambient form take neither certificate, and neither does ``_rank``, the
-one rank rule that every independence and full-rank check of the
-pipeline calls.  Both certificates are read only by the independent
-verification route, :mod:`spherical_pi.verify`.
+ambient form take neither certificate.  Both certificates are read only
+by the independent verification route, :mod:`spherical_pi.verify`.
+
+The independence and full-rank checks of the pipeline ask yes/no
+questions, so they start with ``_rank_mod``, a Gaussian elimination
+over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P`` is never
+above the rank over Q, so a full rank mod ``_P`` proves full rank.  Any
+other result falls back to ``_rank``, the exact rank of the
+certificate-free Smith form.  ``_full_column_rank`` is that rule for one
+matrix; ``RootDatum`` applies it to the pairing matrix of its roots and
+coroots, whose rank is at most that of either family.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -336,3 +343,56 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
 def _rank(m: IntMatrix) -> int:
     """The rank of ``m``, from its certificate-free Smith form."""
     return snf(m, with_u=False, with_v=False).rank
+
+
+# a prime far above those that divide a Cartan determinant (at most the
+# rank + 1); a matrix that is deficient mod it takes the exact rank
+_P = 2**61 - 1
+
+
+def _pack(entries: Sequence[int], w: int) -> int:
+    """One int holding ``entries`` mod ``_P``, entry j in bits ``[j*w, (j+1)*w)``."""
+    return sum((x % _P) << (w * j) for j, x in enumerate(entries) if x)
+
+
+def _rank_mod(m: IntMatrix) -> int:
+    """The rank of ``m`` over ``Z/_P``, which is never above its rank over Q.
+
+    Gaussian elimination column by column on rows packed by ``_pack``, so
+    that adding a multiple of the pivot row is one operation on ints.  The
+    multiplier and the pivot's entries are below ``_P``, so an entry grows
+    by less than ``_P**2`` per pivot and, with room for ``m.cols + 1``
+    times that, never carries into the next.  Entries are reduced only
+    where they are read: the leading entry of each row, and the row that
+    becomes the pivot.  Each column's entry is then shifted out.
+    """
+    w = 2 * _P.bit_length() + (m.cols + 1).bit_length()
+    low = (1 << w) - 1
+    rows = [_pack(row, w) for row in m.entries]
+    rank = 0
+    for width in range(m.cols, 0, -1):
+        i = next((i for i, row in enumerate(rows) if (row & low) % _P), None)
+        if i is None:
+            rows = [row >> w for row in rows]
+            continue
+        # the pivot's entries are reduced below _P, which bounds the growth
+        packed = rows.pop(i)
+        pivot = _pack([packed >> (w * j) & low for j in range(width)], w)
+        # row + (lead * minus_inverse mod _P) * pivot has a lead of 0 mod _P
+        minus_inverse = _P - pow(pivot & low, -1, _P)
+        rows = [
+            (row + lead * minus_inverse % _P * pivot) >> w if (lead := row & low)
+            else row >> w
+            for row in rows
+        ]
+        rank += 1
+    return rank
+
+
+def _full_column_rank(m: IntMatrix) -> bool:
+    """Whether the columns of ``m`` are independent over Q.
+
+    A full rank mod ``_P`` proves it; any other result is settled by the
+    exact rank of the certificate-free Smith form.
+    """
+    return _rank_mod(m) == m.cols or _rank(m) == m.cols

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import _check_count
-from .intmat import DimensionError, IntMatrix, _check_int, _rank
+from .intmat import (
+    DimensionError,
+    IntMatrix,
+    _check_int,
+    _full_column_rank,
+    _rank,
+    _rank_mod,
+)
 
 SIMPLY_CONNECTED = "simply-connected"
 ADJOINT = "adjoint"
@@ -133,7 +140,10 @@ class RootDatum:
                     raise ValueError(
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
-        if n:
+        # rank C <= rank of the roots and of the coroots, so a C that is
+        # nonsingular mod a prime proves both families independent; only
+        # a C singular mod it needs the exact checks
+        if n and _rank_mod(IntMatrix._trusted(n, n, tuple(pairings))) != n:
             if _rank(root_matrix) != n:
                 raise ValueError("simple roots are linearly dependent")
             if _rank(self.coroot_matrix()) != n:
@@ -203,6 +213,6 @@ def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:
         raise DimensionError(
             f"embedding has {embedding.rows} rows, expected {rd.rank}"
         )
-    if _rank(embedding) != embedding.cols:
+    if not _full_column_rank(embedding):
         raise ValueError("embedding is rank-deficient")
     return rd.coroot_matrix() @ embedding

@@ -23,7 +23,14 @@ import copy
 from dataclasses import dataclass, field
 
 from .arith import _check_char_exponent, _check_count
-from .intmat import DimensionError, IntMatrix, SnfResult, _rank, snf, stack_rows
+from .intmat import (
+    DimensionError,
+    IntMatrix,
+    SnfResult,
+    _full_column_rank,
+    snf,
+    stack_rows,
+)
 from .lattices import (
     FinGenAbQuotient,
     SaturatedSet,
@@ -74,7 +81,7 @@ class SphericalDatum:
                 f"colors have {self.colors.cols} columns, expected "
                 f"{self.lattice_embedding.cols}"
             )
-        if _rank(self.lattice_embedding) != self.lattice_embedding.cols:
+        if not _full_column_rank(self.lattice_embedding):
             raise ValueError("lattice embedding is rank-deficient")
         _check_char_exponent(self.char_exponent)
 

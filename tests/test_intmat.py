@@ -3,11 +3,20 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from spherical_pi.intmat import DimensionError, IntMatrix, snf, stack_rows
+from spherical_pi.intmat import (
+    _P,
+    DimensionError,
+    IntMatrix,
+    _full_column_rank,
+    _rank_mod,
+    snf,
+    stack_rows,
+)
 from spherical_pi.root_data import cartan_matrix
 from spherical_pi.verify import det, hnf, mul_vec, solve_in_lattice
 
@@ -513,6 +522,61 @@ class TestKernelOutputsArePinned:
             res = hnf(m)
             outputs.append((res.H.entries, res.U.entries))
         assert kernel_digest(outputs) == self.HNF_SHA256
+
+
+
+def rank_case(rng, i):
+    """Seeded matrix of 3-, 20- or 200-bit entries, with rows <= cols for
+    half of the i; odd i gives a product through a middle of at most
+    min(rows, cols), often rank-deficient."""
+    bits = (3, 20, 200)[i % 3]
+    nc = rng.randint(0, 7)
+    nr = rng.randint(0, nc) if i % 4 < 2 else rng.randint(0, 9)
+
+    def draw(rows, cols):
+        return mat(
+            [[rng.randint(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(rows)],
+            cols=cols,
+        )
+
+    if i % 2:
+        middle = rng.randint(0, min(nr, nc))
+        return draw(nr, middle) @ draw(middle, nc)
+    return draw(nr, nc)
+
+
+class TestRankModP:
+    """``_rank_mod`` against the exact rank, and the fallback of ``_full_column_rank``."""
+
+    def test_random_against_snf(self):
+        rng = random.Random("rank-mod-p")
+        cases = [mat([], cols=4), mat([[]] * 4, cols=0), mat([], cols=0)]
+        cases += [rank_case(rng, i) for i in range(900)]
+        verdicts = Counter()
+        for m in cases:
+            rank = snf(m, with_u=False, with_v=False).rank
+            assert _rank_mod(m) <= rank
+            full = _full_column_rank(m)
+            assert full == (rank == m.cols)
+            verdicts[full, m.rows < m.cols, rank < min(m.rows, m.cols)] += 1
+        # full and deficient columns, wide inputs, and deficient products
+        assert verdicts[True, False, False] >= 100
+        assert verdicts[False, True, False] >= 100
+        assert verdicts[False, False, True] >= 100
+
+    def test_a_multiple_of_p_on_the_diagonal(self):
+        m = mat([[1, 0], [0, _P]])
+        assert _rank_mod(m) == 1
+        assert _full_column_rank(m)
+
+    def test_a_dense_matrix_whose_determinant_is_a_multiple_of_p(self):
+        rng = random.Random(2**61 - 1)
+        d = mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, _P]])
+        m = unimodular(rng, 4, 9) @ d @ unimodular(rng, 4, 9)
+        assert all(x for row in m.entries for x in row)
+        assert abs(det(m)) == 3 * _P
+        assert _rank_mod(m) == 3
+        assert _full_column_rank(m)
 
 
 def test_diagonal_agrees_with_sympy():

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -303,6 +305,21 @@ class TestParse:
     def test_deep_nesting(self):
         with pytest.raises(ParseError, match="nests too deeply"):
             parse("[" * 100_000 + "]" * 100_000)
+
+    def test_a_dense_full_rank_embedding_parses_in_bounded_time(self):
+        # rank 64 with random 256-bit entries took 39 s through the integer
+        # Smith form; full rank mod 2**61 - 1 settles it
+        rng = random.Random(64)
+        top = 2**MAX_ENTRY_BITS - 1
+        lattice = [[rng.randint(-top, top) for _ in range(64)] for _ in range(64)]
+        explicit = {"rank": 64, "simple_roots": [], "simple_coroots": []}
+        text = doc_text(
+            root_datum={"explicit": explicit}, lattice=lattice, colors=[[1] * 64]
+        )
+        start = time.perf_counter()
+        sd = parse(text)
+        assert time.perf_counter() - start < 2.0
+        assert sd.rank == sd.ambient_rank == 64
 
     def test_rank_deficient_embedding_is_structural(self):
         doc = {

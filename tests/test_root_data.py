@@ -10,7 +10,7 @@ import pytest
 from spherical_pi import root_data
 from spherical_pi.catalog import catalog_entry
 from spherical_pi.documents import parse, serialize_datum
-from spherical_pi.intmat import DimensionError, IntMatrix, snf
+from spherical_pi.intmat import DimensionError, IntMatrix, _rank_mod, snf
 from spherical_pi.lattices import FinGenAbQuotient
 from spherical_pi.root_data import (
     ADJOINT,
@@ -177,6 +177,27 @@ class TestRootDatum:
     def test_dependent_roots_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+
+    def test_a_singular_pairing_with_independent_families_is_accepted(self):
+        # <coroot_i, root_j> = [[2, -2], [-2, 2]] is singular, so only the
+        # exact rank checks can accept the datum; both families are free
+        rd = RootDatum(3, ((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (-2, 2, 1)))
+        assert rd.semisimple_rank == 2
+        pairing = rd.coroot_matrix() @ rd.root_matrix()
+        assert pairing.entries == ((2, -2), (-2, 2))
+        assert _rank_mod(pairing) == 1
+
+    @pytest.mark.parametrize(
+        "roots, coroots, message",
+        [
+            (((1, 0), (-1, 0)), ((2, 0), (-2, 0)), "simple roots are linearly dependent"),
+            (((1, 0), (0, 1)), ((2, -2), (-2, 2)), "simple coroots are linearly dependent"),
+        ],
+    )
+    def test_a_singular_pairing_keeps_the_exact_message(self, roots, coroots, message):
+        with pytest.raises(ValueError) as err:
+            RootDatum(2, roots, coroots)
+        assert str(err.value) == message
 
     def test_a_bad_first_pairing_fails_before_the_rest_is_built(self):
         # rank 512, the parse cap, with 64-bit entries: <coroot_0, root_0>

@@ -11,6 +11,7 @@ permutation of the colors, a duplicated color, or an appended integer
 combination of colors.  Random data come from seeded ``random`` draws.
 """
 
+import json
 import random
 import re
 import sys
@@ -125,17 +126,22 @@ class TestSpanCheckAgainstReference:
         assert flagged(full_report(group_case("A", n)).validation) == []
 
 
+MOD_P = "_rank_mod"
+
+
 def record_snf(monkeypatch, requests=None):
     """List that collects the shape of every matrix handed to snf, from any module.
 
     Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
-    a new caller cannot escape the count.
+    a new caller cannot escape the count.  ``intmat._rank_mod`` is patched
+    alike, and its calls go to the same list as ``(MOD_P, rows, cols)``.
 
     ``requests``, when given, collects the certificate keywords
-    ``(with_u, with_v)`` of every call.
+    ``(with_u, with_v)`` of every call to snf.
     """
     calls = []
     real = intmat.snf
+    real_mod = intmat._rank_mod
 
     def counting(m, *, with_u=True, with_v=True):
         calls.append((m.rows, m.cols))
@@ -143,10 +149,16 @@ def record_snf(monkeypatch, requests=None):
             requests.append((with_u, with_v))
         return real(m, with_u=with_u, with_v=with_v)
 
+    def counting_mod(m):
+        calls.append((MOD_P, m.rows, m.cols))
+        return real_mod(m)
+
     for name, module in list(sys.modules.items()):
         in_package = name == "spherical_pi" or name.startswith("spherical_pi.")
         if in_package and getattr(module, "snf", None) is real:
             monkeypatch.setattr(module, "snf", counting)
+        if in_package and getattr(module, "_rank_mod", None) is real_mod:
+            monkeypatch.setattr(module, "_rank_mod", counting_mod)
     return calls
 
 
@@ -180,15 +192,42 @@ class TestSnfBudget:
         twin = group_case("A", 4, factor=2)
         assert snf_shapes(monkeypatch, validate, twin) == [(4, 4)]
 
-    def test_parse_of_group_case_costs_three(self, monkeypatch):
-        # roots and coroots are independent, the embedding has full rank
+    def test_parse_of_group_case_costs_no_snf(self, monkeypatch):
+        # the pairing matrix is nonsingular mod P, so roots and coroots are
+        # independent, and the embedding has full rank mod P
         doc = catalog_entry("group_case_A2_adjoint").document
-        assert snf_shapes(monkeypatch, parse, doc) == [(4, 4), (4, 4), (4, 2)]
+        assert snf_shapes(monkeypatch, parse, doc) == [(MOD_P, 4, 4), (MOD_P, 4, 2)]
+
+    def test_parse_singular_mod_p_reaches_snf(self, monkeypatch):
+        # the pairing [[2, -2], [-2, 2]] is singular, so the root matrix
+        # (3x2) and the coroot matrix (2x3) take the exact route; both are
+        # independent and the embedding (3x1) has full rank mod P
+        doc = json.dumps(
+            {
+                "label": "affine pairing",
+                "p": 1,
+                "root_datum": {
+                    "explicit": {
+                        "rank": 3,
+                        "simple_roots": [[1, 0, 0], [0, 1, 0]],
+                        "simple_coroots": [[2, -2, 0], [-2, 2, 1]],
+                    }
+                },
+                "lattice": [[0, 0, 1]],
+                "colors": [[1]],
+            }
+        )
+        assert snf_shapes(monkeypatch, parse, doc) == [
+            (MOD_P, 2, 2),
+            (3, 2),
+            (2, 3),
+            (MOD_P, 3, 1),
+        ]
 
     def test_catalog_run_costs_parse_plus_two_per_p(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
         calls = snf_shapes(monkeypatch, run_entry, entry)
-        assert len(calls) == 3 + 2 == 5
+        assert calls == [(MOD_P, 4, 4), (MOD_P, 4, 2), (2, 2), (5, 1)]
 
     def test_compute_strict_costs_two_after_parse(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -237,7 +276,7 @@ class TestCertificateRequests:
 
     def test_parse_asks_for_no_certificate(self, monkeypatch):
         doc = catalog_entry("group_case_A2_adjoint").document
-        assert self.requests(monkeypatch, parse, doc) == [NONE] * 3
+        assert self.requests(monkeypatch, parse, doc) == []
 
     def test_cli_oracle_asks_for_no_certificate(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -245,15 +284,12 @@ class TestCertificateRequests:
         requests = []
         record_snf(monkeypatch, requests)
         assert cli.main(["oracle", str(path), "--torsion", "3"]) == 0
-        # parse, then the quotient of the colors
-        assert requests == [NONE] * 3 + [NONE]
+        # parse asks for none, then the quotient of the colors
+        assert requests == [NONE]
 
     def test_catalog_run(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
-        assert self.requests(monkeypatch, run_entry, entry) == [NONE] * 3 + [
-            V_ONLY,
-            NONE,
-        ]
+        assert self.requests(monkeypatch, run_entry, entry) == [V_ONLY, NONE]
 
 
 AMBIENT_KINDS = ("fewer", "square", "more", "none", "product", "repeats", "unimodular")
