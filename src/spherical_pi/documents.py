@@ -22,9 +22,16 @@ The normative on-disk format is JSON with a fixed key set:
 ``explicit: {rank, simple_roots, simple_coroots}``.  ``lattice`` lists
 the r weight-basis generators as integer vectors of length d (character
 lattice coordinates); ``colors`` lists the m color functionals as integer
-vectors of length r (values on the weight basis).  Serialization always
-emits keys sorted and two-space indentation, so documents round-trip
-bit-exactly and diff cleanly.
+vectors of length r (values on the weight basis).
+
+Documents and structured reports are written in one canonical format:
+sorted keys, two-space indent, one list entry per line, ASCII with
+``\\uXXXX`` escapes, and a trailing newline, so they round-trip
+bit-exactly and diff cleanly.  These are the bytes of
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.  CPython 3.13
+and later write them with that call, whose C encoder handles the indent;
+earlier versions, whose encoder falls back to pure Python under an
+indent, use the writer here, which joins each list of ints at once.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import json
 import sys
 from typing import Any
 
-from .intmat import IntMatrix
+from .intmat import _INT_ONLY, IntMatrix
 from .lattices import FinGenAbQuotient
 from .root_data import ADJOINT, SIMPLY_CONNECTED, RootDatum, build_standard
 from .spherical import PiResult, Report, SphericalDatum
@@ -90,10 +97,10 @@ def _expect_vector(value: Any, where: str, length: int) -> tuple[int, ...]:
         raise ParseError(f"'{where}' must be a list of integers")
     if len(value) != length:
         raise ParseError(f"'{where}' has length {len(value)}, expected {length}")
-    for j, x in enumerate(value):
-        # JSON numbers decode to exact ints, so only an offender pays for
-        # the message
-        if type(x) is not int:
+    # JSON numbers decode to exact ints, so only a vector holding an
+    # offender pays for the per-entry check and its message
+    if not _INT_ONLY.issuperset(map(type, value)):
+        for j, x in enumerate(value):
             _expect_int(x, f"{where}[{j}]")
     if value and max(max(value), -min(value)).bit_length() > MAX_ENTRY_BITS:
         bits = [abs(x).bit_length() for x in value]
@@ -216,9 +223,55 @@ def document_dict(sd: SphericalDatum) -> dict:
     }
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# from 3.13 the stdlib's C encoder handles ``indent``; see the module docstring
+_STDLIB_WRITES_FAST = sys.version_info >= (3, 13)
+
+
+def _write_canonical(value: Any, pad: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2, sort_keys=True)``, indented by ``pad``.
+
+    A list of exact ints, which is most of a report, is written with one
+    join.  Bools, None, int subclasses and dicts with a non-str key are
+    left to ``json.dumps``, its lines shifted by ``pad``.
+    """
+    if isinstance(value, str):
+        out.append(_encode_str(value))
+    elif type(value) is int:
+        out.append(str(value))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        if _INT_ONLY.issuperset(map(type, value)):
+            out.append(f"[\n{inner}" + (",\n" + inner).join(map(str, value)))
+        else:
+            sep = "[\n" + inner
+            for x in value:
+                out.append(sep)
+                _write_canonical(x, inner, out)
+                sep = ",\n" + inner
+        out.append(f"\n{pad}]")
+    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for k, v in sorted(value.items()):
+            out.append(f"{sep}{_encode_str(k)}: ")
+            _write_canonical(v, inner, out)
+            sep = ",\n" + inner
+        out.append(f"\n{pad}}}")
+    else:
+        text = json.dumps(value, indent=2, sort_keys=True)
+        out.append(text.replace("\n", "\n" + pad))
+
+
 def dumps_document(doc: dict) -> str:
-    """Canonical JSON text of a document or report: sorted keys, two-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text of a document or report; see the module docstring."""
+    if _STDLIB_WRITES_FAST:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out: list[str] = []
+    _write_canonical(doc, "", out)
+    return "".join(out) + "\n"
 
 
 def serialize_datum(sd: SphericalDatum) -> str:

@@ -49,6 +49,11 @@ class DimensionError(ValueError):
     """Operand shapes do not line up."""
 
 
+# ``_INT_ONLY.issuperset(map(type, v))``: every entry of v is an exact int,
+# so neither a bool nor another int subclass, and needs no per-entry check
+_INT_ONLY = frozenset((int,))
+
+
 def _check_int(x: object) -> int:
     # bool is an int subclass but never a legitimate matrix entry
     if not isinstance(x, int) or isinstance(x, bool):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .arith import _check_count
 from .intmat import (
+    _INT_ONLY,
     DimensionError,
     IntMatrix,
     _check_int,
@@ -23,7 +24,6 @@ from .intmat import (
 
 SIMPLY_CONNECTED = "simply-connected"
 ADJOINT = "adjoint"
-_INT_ONLY = frozenset((int,))
 
 # admissible rank ranges per series (Bourbaki conventions)
 _RANK_RANGES: dict[str, tuple[int, int | None]] = {
