@@ -11,14 +11,12 @@ so pi0) read it, and so does ``dual_saturation``.  pi1 and the reduced
 ambient form take neither certificate.  Both certificates are read only
 by the independent verification route, :mod:`spherical_pi.verify`.
 
-The independence and full-rank checks of the pipeline ask yes/no
-questions, so they start with ``_rank_mod``, a Gaussian elimination
-over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P`` is never
-above the rank over Q, so a full rank mod ``_P`` proves full rank.  Any
-other result falls back to ``_rank``, the exact rank of the
-certificate-free Smith form.  ``_full_column_rank`` is that rule for one
-matrix; ``RootDatum`` applies it to the pairing matrix of its roots and
-coroots, whose rank is at most that of either family.
+The full-rank check of the embedding, ``_full_column_rank``, asks a
+yes/no question, so it starts with ``_rank_mod``, a Gaussian
+elimination over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P``
+is never above the rank over Q, so a full rank mod ``_P`` proves full
+rank.  Any other result falls back to the exact rank of the
+certificate-free Smith form.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -345,13 +343,7 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
     )
 
 
-def _rank(m: IntMatrix) -> int:
-    """The rank of ``m``, from its certificate-free Smith form."""
-    return snf(m, with_u=False, with_v=False).rank
-
-
-# a prime far above those that divide a Cartan determinant (at most the
-# rank + 1); a matrix that is deficient mod it takes the exact rank
+# a prime; a matrix that is deficient mod it takes the exact rank
 _P = 2**61 - 1
 
 
@@ -400,4 +392,7 @@ def _full_column_rank(m: IntMatrix) -> bool:
     A full rank mod ``_P`` proves it; any other result is settled by the
     exact rank of the certificate-free Smith form.
     """
-    return _rank_mod(m) == m.cols or _rank(m) == m.cols
+    return (
+        _rank_mod(m) == m.cols
+        or snf(m, with_u=False, with_v=False).rank == m.cols
+    )

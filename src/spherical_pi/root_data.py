@@ -10,6 +10,7 @@ other isogeny type can be entered through explicit matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .arith import _check_count
 from .intmat import (
@@ -18,8 +19,6 @@ from .intmat import (
     IntMatrix,
     _check_int,
     _full_column_rank,
-    _rank,
-    _rank_mod,
 )
 
 SIMPLY_CONNECTED = "simply-connected"
@@ -80,14 +79,106 @@ def cartan_matrix(series: str, rank: int) -> IntMatrix:
     return IntMatrix.from_rows(c)
 
 
+def _dynkin_types(c: Sequence[Sequence[int]]) -> tuple[str, ...]:
+    """The finite type of each component of the Dynkin diagram of ``c``.
+
+    ``c`` is a generalized Cartan matrix: diagonal 2, nonpositive entries
+    off it and symmetric zeros.  Its diagram joins ``i`` and ``j`` when
+    ``c[i][j]`` is nonzero, by a bond of multiplicity
+    ``c[i][j] * c[j][i]``.  The components come in the order of their
+    least index, each named like ``"A40"`` or ``"E8"`` (``B2`` for the
+    rank-2 double bond).  A component that is not of finite type (Kac,
+    *Infinite-dimensional Lie algebras*, Thm 4.3 and Table Fin) raises a
+    ValueError that names its simple roots.
+    """
+    neighbors = [
+        [j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(c)
+    ]
+    seen = [False] * len(c)
+    types = []
+    for start in range(len(c)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        nodes = [start]
+        for i in nodes:  # the list grows while it is walked
+            for j in neighbors[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    nodes.append(j)
+        name = _component_type(c, neighbors, nodes)
+        if name is None:
+            listed = ", ".join(map(str, sorted(nodes)))
+            raise ValueError(
+                f"the Dynkin diagram component on simple roots {listed} "
+                "is not of finite type"
+            )
+        types.append(name)
+    return tuple(types)
+
+
+def _component_type(
+    c: Sequence[Sequence[int]], neighbors: list[list[int]], nodes: list[int]
+) -> str | None:
+    """The finite type of one connected component, or None when it has none."""
+    size = len(nodes)
+    degrees = [len(neighbors[i]) for i in nodes]
+    # a tree: as many edges as nodes - 1, and no node of degree above 3
+    if sum(degrees) != 2 * (size - 1) or max(degrees) > 3:
+        return None
+    multiple = []
+    for i in nodes:
+        for j in neighbors[i]:
+            bond = c[i][j] * c[j][i]
+            if bond > 3:
+                return None
+            if bond > 1 and i < j:
+                multiple.append((i, j, bond))
+    branches = [i for i, d in zip(nodes, degrees) if d == 3]
+    if len(multiple) + len(branches) > 1:
+        return None
+    if branches:
+        # arms of a, b, c nodes need 1/(a+1) + 1/(b+1) + 1/(c+1) > 1
+        center = branches[0]
+        arms = sorted(_arm_length(neighbors, center, j) for j in neighbors[center])
+        p, q, r = (a + 1 for a in arms)
+        if q * r + p * r + p * q <= p * q * r:
+            return None
+        return f"{'D' if arms[1] == 1 else 'E'}{size}"
+    if not multiple:
+        return f"A{size}"
+    i, j, bond = multiple[0]
+    if bond == 3:
+        return "G2" if size == 2 else None
+    if size == 2:
+        return "B2"
+    if len(neighbors[i]) == 2 and len(neighbors[j]) == 2:
+        return "F4" if size == 4 else None
+    leaf, inner = (i, j) if len(neighbors[i]) == 1 else (j, i)
+    # B_n has its short simple root at the leaf: <coroot_leaf, root_inner> = -2
+    return f"{'B' if c[leaf][inner] == -2 else 'C'}{size}"
+
+
+def _arm_length(neighbors: list[list[int]], prev: int, node: int) -> int:
+    """Nodes on the path that leaves ``prev`` through ``node``."""
+    length = 1
+    while len(neighbors[node]) == 2:
+        a, b = neighbors[node]
+        prev, node = node, b if a == prev else a
+        length += 1
+    return length
+
+
 @dataclass(frozen=True)
 class RootDatum:
     """Character lattice Z^rank with simple roots and simple coroots.
 
-    The pairing matrix <coroot_i, root_j> must be a Cartan matrix
-    (diagonal 2, nonpositive off-diagonal entries with symmetric zeros)
-    and both families must be linearly independent.  A torus is the case
-    of no roots at all.
+    The pairing matrix <coroot_i, root_j> must be a Cartan matrix of
+    finite type: diagonal 2, nonpositive off-diagonal entries with
+    symmetric zeros, and every component of its Dynkin diagram one of
+    A_n, B_n, C_n, D_n, E_6-8, F_4 and G_2.  Such a matrix is
+    nonsingular, so both families are linearly independent.  A torus is
+    the case of no roots at all.
     """
 
     rank: int
@@ -140,14 +231,9 @@ class RootDatum:
                     raise ValueError(
                         f"pairing zeros are asymmetric at ({i}, {j})"
                     )
-        # rank C <= rank of the roots and of the coroots, so a C that is
-        # nonsingular mod a prime proves both families independent; only
-        # a C singular mod it needs the exact checks
-        if n and _rank_mod(IntMatrix._trusted(n, n, tuple(pairings))) != n:
-            if _rank(root_matrix) != n:
-                raise ValueError("simple roots are linearly dependent")
-            if _rank(self.coroot_matrix()) != n:
-                raise ValueError("simple coroots are linearly dependent")
+        # a Cartan matrix of finite type is nonsingular, and its rank is at
+        # most that of the roots and of the coroots, so both are independent
+        _dynkin_types(pairings)
 
     @property
     def semisimple_rank(self) -> int:

@@ -5,8 +5,10 @@ The pipeline reads pi0 and pi1 off two Smith forms.  The test suite
 re-checks it with what this module holds: ``mul_vec``, ``det``, ``hnf``
 and ``solve_in_lattice``; membership in and equality of saturations
 (``contains``, ``same_set``); rational lattices with their intersection
-and finite quotients, a second route to the ambient quotient; and the
-root data ``torus``, ``product`` and ``coroot_saturation``.
+and finite quotients, a second route to the ambient quotient; the
+root data ``torus``, ``product`` and ``coroot_saturation``; and
+``_finite_type``, a second route to the Dynkin classification that
+``RootDatum`` applies to its pairing matrix.
 
 ``hnf`` works on columns and produces ``M @ U == H`` in column echelon
 form: the pivot row of each nonzero column is strictly below the pivot
@@ -357,3 +359,43 @@ def coroot_saturation(rd: RootDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:
     the divisible rank equals the central torus rank.
     """
     return dual_saturation(rd.rank, rd.coroot_matrix())
+
+
+def _finite_type(c: Sequence[Sequence[int]]) -> bool:
+    """Whether the generalized Cartan matrix ``c`` is of finite type.
+
+    By positive definiteness instead of the Dynkin diagram: ``c`` is of
+    finite type exactly when it is symmetrizable, ``e_i c_ij = e_j c_ji``
+    with every ``e_i`` positive, and the symmetric matrix ``e_i c_ij`` is
+    positive definite (Kac, *Infinite-dimensional Lie algebras*, ch. 4).
+    The ``e_i`` are fixed along a spanning tree of each component of the
+    graph ``c_ij != 0``, and Sylvester's criterion reads the leading
+    principal minors off the pivots of an elimination in ``Fraction``.
+    """
+    n = len(c)
+    e: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if e[start] is not None:
+            continue
+        e[start] = Fraction(1)
+        tree = [start]
+        for i in tree:
+            for j in range(n):
+                if c[i][j] and e[j] is None:
+                    if not c[j][i]:
+                        return False
+                    e[j] = e[i] * c[i][j] / c[j][i]
+                    tree.append(j)
+    b = [[e[i] * x for x in row] for i, row in enumerate(c)]
+    if any(b[i][j] != b[j][i] for i in range(n) for j in range(i)):
+        return False
+    for k in range(n):
+        # the k-th pivot is the ratio of two consecutive leading minors
+        pivot = b[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = b[i][k] / pivot
+            if f:
+                b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    return True

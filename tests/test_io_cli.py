@@ -81,6 +81,11 @@ def explicit_doc(rank, roots, coroots, lattice, colors):
     return doc_text(root_datum={"explicit": explicit}, lattice=lattice, colors=colors)
 
 
+NOT_FINITE_01 = (
+    "'root_datum.explicit': the Dynkin diagram component on simple roots 0, 1 "
+    "is not of finite type"
+)
+
 # one bad field each, with the whole message that names it
 BAD_FIELDS = {
     "standard-not-object": (
@@ -106,6 +111,26 @@ BAD_FIELDS = {
     "pairing-not-2": (
         explicit_doc(1, [[1]], [[3]], [[4]], [[2]]),
         "'root_datum.explicit': <coroot_0, root_0> = 3, expected 2",
+    ),
+    # pairings that are Cartan matrices of no finite type, with both
+    # families independent: hyperbolic [[2, -3], [-3, 2]] and affine
+    # [[2, -2], [-2, 2]]; with the colors equal to the coroots, every
+    # other check passes
+    "hyperbolic-pairing": (
+        explicit_doc(
+            2, [[1, 0], [0, 1]], [[2, -3], [-3, 2]], [[1, 0], [0, 1]], [[2, -3], [-3, 2]]
+        ),
+        NOT_FINITE_01,
+    ),
+    "affine-pairing": (
+        explicit_doc(
+            3,
+            [[1, 0, 0], [0, 1, 0]],
+            [[2, -2, 0], [-2, 2, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[2, -2, 0], [-2, 2, 1]],
+        ),
+        NOT_FINITE_01,
     ),
     "p-even-composite": (
         doc_text(p=4),
@@ -450,6 +475,14 @@ class TestCli:
 
     def test_a_negative_explicit_rank_exits_2(self, tmp_path, capsys):
         text, message = BAD_FIELDS["explicit-rank-negative"]
+        assert main(["compute", self.write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["hyperbolic-pairing", "affine-pairing"])
+    def test_a_pairing_of_no_finite_type_exits_2(self, tmp_path, capsys, key):
+        text, message = BAD_FIELDS[key]
         assert main(["compute", self.write(tmp_path, text)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,5 +1,6 @@
 """Root data: Cartan tables, standard builds, coroot saturations."""
 
+import itertools
 import random
 import time
 from collections import Counter
@@ -10,7 +11,7 @@ import pytest
 from spherical_pi import root_data
 from spherical_pi.catalog import catalog_entry
 from spherical_pi.documents import parse, serialize_datum
-from spherical_pi.intmat import DimensionError, IntMatrix, _rank_mod, snf
+from spherical_pi.intmat import DimensionError, IntMatrix, snf
 from spherical_pi.lattices import FinGenAbQuotient
 from spherical_pi.root_data import (
     ADJOINT,
@@ -20,7 +21,7 @@ from spherical_pi.root_data import (
     cartan_matrix,
     restrict_coroots,
 )
-from spherical_pi.verify import coroot_saturation, product, torus
+from spherical_pi.verify import _finite_type, coroot_saturation, det, product, torus
 
 # ---------------------------------------------------------------------------
 # Independent oracle: simple roots in their standard Euclidean realizations
@@ -143,6 +144,11 @@ class TestCartanMatrix:
                 cartan_matrix(series, rank)
 
 
+AFFINE_A1_MESSAGE = (
+    "the Dynkin diagram component on simple roots 0, 1 is not of finite type"
+)
+
+
 class TestRootDatum:
     def test_cartan_invariants_enforced(self):
         # diagonal pairing must be 2
@@ -175,29 +181,34 @@ class TestRootDatum:
         assert rd == RootDatum(1, ((2,),), ((1,),))
 
     def test_dependent_roots_rejected(self):
-        with pytest.raises(ValueError, match="dependent"):
+        # the pairing [[2, -2], [-2, 2]] is affine, so the datum is rejected
+        # by the classification before any rank is taken
+        with pytest.raises(ValueError) as err:
             RootDatum(2, ((2, 0), (-2, 0)), ((1, 0), (-1, 0)))
+        assert str(err.value) == AFFINE_A1_MESSAGE
 
-    def test_a_singular_pairing_with_independent_families_is_accepted(self):
-        # <coroot_i, root_j> = [[2, -2], [-2, 2]] is singular, so only the
-        # exact rank checks can accept the datum; both families are free
-        rd = RootDatum(3, ((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (-2, 2, 1)))
-        assert rd.semisimple_rank == 2
-        pairing = rd.coroot_matrix() @ rd.root_matrix()
-        assert pairing.entries == ((2, -2), (-2, 2))
-        assert _rank_mod(pairing) == 1
+    def test_an_affine_pairing_with_independent_families_is_rejected(self):
+        # <coroot_i, root_j> = [[2, -2], [-2, 2]] is singular although both
+        # families are free, and belongs to no reductive group
+        roots, coroots = ((1, 0, 0), (0, 1, 0)), ((2, -2, 0), (-2, 2, 1))
+        assert snf(IntMatrix.from_cols(roots, rows=3)).rank == 2
+        assert snf(IntMatrix.from_rows(coroots)).rank == 2
+        with pytest.raises(ValueError) as err:
+            RootDatum(3, roots, coroots)
+        assert str(err.value) == AFFINE_A1_MESSAGE
 
     @pytest.mark.parametrize(
-        "roots, coroots, message",
+        "roots, coroots",
         [
-            (((1, 0), (-1, 0)), ((2, 0), (-2, 0)), "simple roots are linearly dependent"),
-            (((1, 0), (0, 1)), ((2, -2), (-2, 2)), "simple coroots are linearly dependent"),
+            # dependent roots, then dependent coroots, on a singular pairing
+            (((1, 0), (-1, 0)), ((2, 0), (-2, 0))),
+            (((1, 0), (0, 1)), ((2, -2), (-2, 2))),
         ],
     )
-    def test_a_singular_pairing_keeps_the_exact_message(self, roots, coroots, message):
+    def test_a_singular_pairing_names_its_component(self, roots, coroots):
         with pytest.raises(ValueError) as err:
             RootDatum(2, roots, coroots)
-        assert str(err.value) == message
+        assert str(err.value) == AFFINE_A1_MESSAGE
 
     def test_a_bad_first_pairing_fails_before_the_rest_is_built(self):
         # rank 512, the parse cap, with 64-bit entries: <coroot_0, root_0>
@@ -338,7 +349,8 @@ class TestRestrictCoroots:
 
 # ---------------------------------------------------------------------------
 # The former RootDatum checks, which recompute every pairing with generator
-# sums in three loops, kept as the reference for the constructor.
+# sums in three loops, kept as the reference for the constructor, with the
+# finite-type test of verify in place of the Dynkin classification.
 
 
 def reference_root_datum_check(rank, roots, coroots):
@@ -366,11 +378,40 @@ def reference_root_datum_check(rank, roots, coroots):
             pji = sum(a * b for a, b in zip(coroots[j], roots[i]))
             if (pij == 0) != (pji == 0):
                 raise ValueError(f"pairing zeros are asymmetric at ({i}, {j})")
-    if n:
-        if snf(IntMatrix.from_cols(list(roots), rows=rank)).rank != n:
-            raise ValueError("simple roots are linearly dependent")
-        if snf(IntMatrix.from_cols(list(coroots), rows=rank)).rank != n:
-            raise ValueError("simple coroots are linearly dependent")
+    # each component of the graph of nonzero pairings, in the order of its
+    # least index, goes through the Fraction route of verify
+    pairing = [
+        [sum(a * b for a, b in zip(coroots[i], roots[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    for nodes in components(pairing):
+        if not _finite_type(principal(pairing, nodes)):
+            raise ValueError(
+                "the Dynkin diagram component on simple roots "
+                f"{', '.join(map(str, nodes))} is not of finite type"
+            )
+
+
+def components(c):
+    """Node lists of the components of the graph c_ij != 0, by least index."""
+    placed = set()
+    found = []
+    for start in range(len(c)):
+        if start in placed:
+            continue
+        nodes = {start}
+        while True:
+            grown = {j for i in nodes for j, x in enumerate(c[i]) if x}
+            if grown <= nodes:
+                break
+            nodes |= grown
+        placed |= nodes
+        found.append(sorted(nodes))
+    return found
+
+
+def principal(c, nodes):
+    return [[c[i][j] for j in nodes] for i in nodes]
 
 
 def raised(fn, *args):
@@ -396,7 +437,7 @@ def random_explicit(rng):
         v = rng.choice(rng.choice((roots, coroots)))
         v[rng.randrange(rd.rank)] += rng.choice((-2, -1, 1, 2))
     if rng.random() < 0.2:
-        # the negated first pair keeps a Cartan pairing on an A1 factor
+        # the negated first pair makes an affine A1 component with the first
         roots.append([-x for x in roots[0]])
         coroots.append([-x for x in coroots[0]])
     if rng.random() < 0.05:
@@ -409,7 +450,9 @@ def random_explicit(rng):
 class TestRootDatumAgainstReference:
     def test_random_explicit_data(self):
         rng = random.Random(5150)
-        kinds = ("expected 2", "positive", "asymmetric", "dependent", "length", "against")
+        kinds = (
+            "expected 2", "positive", "asymmetric", "finite type", "length", "against"
+        )
         seen = Counter()
         for _ in range(600):
             rank, roots, coroots = random_explicit(rng)
@@ -449,3 +492,187 @@ class TestRootDatumAgainstReference:
             assert shape == (rd.rank, rd.semisimple_rank)
             assert rd.root_matrix().transpose().entries == rd.simple_roots
             assert rd.coroot_matrix().entries == rd.simple_coroots
+
+
+# ---------------------------------------------------------------------------
+# The Dynkin classification of RootDatum against the Fraction route of
+# verify: symmetrized along a spanning tree, then positive leading minors.
+
+
+def permuted(c, perm):
+    """The matrix with c[i][j] at (perm[i], perm[j])."""
+    n = len(c)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = c[i][j]
+    return out
+
+
+def block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+def from_bonds(n, bonds):
+    """Cartan matrix on n nodes with c[i][j], c[j][i] = -a, -b per bond (i, j, a, b)."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, a, b in bonds:
+        c[i][j], c[j][i] = -a, -b
+    return c
+
+
+def star(arms):
+    """Node 0 with paths of the given lengths attached."""
+    bonds, nxt = [], 1
+    for length in arms:
+        prev = 0
+        for _ in range(length):
+            bonds.append((prev, nxt, 1, 1))
+            prev, nxt = nxt, nxt + 1
+    return from_bonds(nxt, bonds)
+
+
+# diagrams that break each rule of the classification once: cycles, a
+# node of degree 4, bonds above 3, two multiple bonds, a multiple bond
+# with a branch node, a triple or an inner double bond in a longer chain,
+# two branch nodes, and arms with 1/(a+1) + 1/(b+1) + 1/(c+1) <= 1; most
+# are the affine diagrams of Kac, Table Aff 1
+NOT_FINITE = {
+    "cycle3": from_bonds(3, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 0, 1, 1)]),
+    "cycle5": from_bonds(5, [(i, (i + 1) % 5, 1, 1) for i in range(5)]),
+    "cycle3-double": from_bonds(3, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 0, 1, 2)]),
+    "star4": star((1, 1, 1, 1)),
+    "affine-E6": star((2, 2, 2)),
+    "affine-E7": star((1, 3, 3)),
+    "affine-E8": star((1, 2, 5)),
+    "bond4": from_bonds(3, [(0, 1, 1, 1), (1, 2, 1, 4)]),
+    "two-doubles": from_bonds(3, [(0, 1, 2, 1), (1, 2, 1, 2)]),
+    "double-and-branch": from_bonds(
+        5, [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1), (3, 4, 1, 2)]
+    ),
+    "affine-G2": from_bonds(3, [(0, 1, 1, 1), (1, 2, 1, 3)]),
+    "affine-F4": from_bonds(
+        5, [(0, 1, 1, 1), (1, 2, 1, 1), (2, 3, 1, 2), (3, 4, 1, 1)]
+    ),
+    "inner-double-A5": from_bonds(
+        5, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1), (3, 4, 1, 1)]
+    ),
+    "affine-D5": from_bonds(
+        6, [(0, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (3, 5, 1, 1)]
+    ),
+}
+AFFINE_RANK_2 = [from_bonds(2, [(0, 1, a, 4 // a)]) for a in (1, 2, 4)]
+HYPERBOLIC_RANK_2 = [
+    from_bonds(2, [(0, 1, a, b)]) for a in range(1, 7) for b in range(1, 7) if a * b > 4
+]
+
+
+def classified(c):
+    """The classifier's names, or None when it raises."""
+    try:
+        return root_data._dynkin_types(c)
+    except ValueError as exc:
+        assert str(exc).startswith("the Dynkin diagram component on simple roots ")
+        return None
+
+
+def is_of_type(c, name):
+    """Whether c is cartan_matrix(name) up to a simultaneous permutation."""
+    target = cartan_matrix(name[0], int(name[1:])).entries
+    return any(
+        all(c[p[i]][p[j]] == target[i][j] for i in range(len(c)) for j in range(len(c)))
+        for p in itertools.permutations(range(len(c)))
+    )
+
+
+def random_gcm(rng, n):
+    """A generalized Cartan matrix with sparse bonds, mostly simple ones."""
+    options = [(1, 1)] * 8 + [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4)]
+    bonds = [
+        (i, j) + rng.choice(options)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 1.6 / n
+    ]
+    return from_bonds(n, bonds)
+
+
+class TestDynkinClassification:
+    @pytest.mark.parametrize("series,rank", ALL_TYPES)
+    def test_every_type_under_permutations(self, series, rank):
+        rng = random.Random(f"{series}{rank}")
+        c = cartan_matrix(series, rank).entries
+        for _ in range(6):
+            perm = list(range(rank))
+            rng.shuffle(perm)
+            d = permuted(c, perm)
+            assert root_data._dynkin_types(d) == (f"{series}{rank}",)
+            assert _finite_type(d)
+
+    def test_products_of_two_types_name_both_by_least_index(self):
+        rng = random.Random(8)
+        for _ in range(120):
+            (s, r), (t, q) = rng.choice(ALL_TYPES), rng.choice(ALL_TYPES)
+            c = block_sum(cartan_matrix(s, r).entries, cartan_matrix(t, q).entries)
+            perm = list(range(r + q))
+            rng.shuffle(perm)
+            first, second = f"{s}{r}", f"{t}{q}"
+            if min(perm[r:]) < min(perm[:r]):
+                first, second = second, first
+            d = permuted(c, perm)
+            assert root_data._dynkin_types(d) == (first, second)
+            assert _finite_type(d)
+
+    @pytest.mark.parametrize(
+        "c",
+        AFFINE_RANK_2 + HYPERBOLIC_RANK_2 + list(NOT_FINITE.values()),
+        ids=[f"affine{k}" for k in range(3)]
+        + [f"hyperbolic{k}" for k in range(len(HYPERBOLIC_RANK_2))]
+        + list(NOT_FINITE),
+    )
+    def test_no_finite_type_is_named_by_its_component(self, c):
+        assert not _finite_type(c)
+        # next to an A2 on the first two indices, the bad component is the
+        # second and is named by its shifted indices
+        d = block_sum(cartan_matrix("A", 2).entries, c)
+        listed = ", ".join(str(k + 2) for k in range(len(c)))
+        with pytest.raises(ValueError) as err:
+            root_data._dynkin_types(d)
+        assert str(err.value) == (
+            f"the Dynkin diagram component on simple roots {listed} "
+            "is not of finite type"
+        )
+
+    def test_every_rank_3_matrix_with_bonds_up_to_4(self):
+        options = [(0, 0)] + list(itertools.product(range(1, 5), repeat=2))
+        for n in (1, 2, 3):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for choice in itertools.product(options, repeat=len(pairs)):
+                c = from_bonds(n, [p + b for p, b in zip(pairs, choice) if b[0]])
+                names = classified(c)
+                assert (names is not None) == _finite_type(c), c
+                for nodes, name in zip(components(c), names or ()):
+                    assert is_of_type(principal(c, nodes), name), (c, name)
+
+    def test_seeded_random_matrices(self):
+        rng = random.Random(1616)
+        outcomes = Counter()
+        for _ in range(1500):
+            c = random_gcm(rng, rng.randint(1, 8))
+            names = classified(c)
+            assert (names is not None) == _finite_type(c), c
+            outcomes[names is not None] += 1
+            if names is None:
+                continue
+            parts = components(c)
+            assert len(parts) == len(names)
+            for nodes, name in zip(parts, names):
+                sub = principal(c, nodes)
+                assert int(name[1:]) == len(nodes)
+                assert det(IntMatrix.from_rows(sub)) == det(
+                    cartan_matrix(name[0], len(nodes))
+                )
+                if len(nodes) <= 5:
+                    assert is_of_type(sub, name), (sub, name)
+        assert min(outcomes[True], outcomes[False]) >= 300, outcomes

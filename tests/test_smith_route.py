@@ -20,7 +20,7 @@ import pytest
 
 from spherical_pi import cli, intmat, spherical
 from spherical_pi.catalog import catalog_entry, run_entry
-from spherical_pi.documents import parse
+from spherical_pi.documents import ParseError, parse
 from spherical_pi.intmat import IntMatrix, snf, stack_rows
 from spherical_pi.lattices import smith_quotient
 from spherical_pi.root_data import (
@@ -193,15 +193,16 @@ class TestSnfBudget:
         assert snf_shapes(monkeypatch, validate, twin) == [(4, 4)]
 
     def test_parse_of_group_case_costs_no_snf(self, monkeypatch):
-        # the pairing matrix is nonsingular mod P, so roots and coroots are
-        # independent, and the embedding has full rank mod P
+        # the pairing matrix is of finite type, so roots and coroots are
+        # independent without a rank check, and the embedding has full rank
+        # mod P
         doc = catalog_entry("group_case_A2_adjoint").document
-        assert snf_shapes(monkeypatch, parse, doc) == [(MOD_P, 4, 4), (MOD_P, 4, 2)]
+        assert snf_shapes(monkeypatch, parse, doc) == [(MOD_P, 4, 2)]
 
-    def test_parse_singular_mod_p_reaches_snf(self, monkeypatch):
-        # the pairing [[2, -2], [-2, 2]] is singular, so the root matrix
-        # (3x2) and the coroot matrix (2x3) take the exact route; both are
-        # independent and the embedding (3x1) has full rank mod P
+    def test_parse_of_an_affine_pairing_takes_no_rank(self, monkeypatch):
+        # the pairing [[2, -2], [-2, 2]] is singular although both families
+        # are independent; the classification rejects it before any rank
+        # is taken
         doc = json.dumps(
             {
                 "label": "affine pairing",
@@ -217,17 +218,15 @@ class TestSnfBudget:
                 "colors": [[1]],
             }
         )
-        assert snf_shapes(monkeypatch, parse, doc) == [
-            (MOD_P, 2, 2),
-            (3, 2),
-            (2, 3),
-            (MOD_P, 3, 1),
-        ]
+        calls = record_snf(monkeypatch)
+        with pytest.raises(ParseError, match="simple roots 0, 1 is not of finite type"):
+            parse(doc)
+        assert calls == []
 
     def test_catalog_run_costs_parse_plus_two_per_p(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
         calls = snf_shapes(monkeypatch, run_entry, entry)
-        assert calls == [(MOD_P, 4, 4), (MOD_P, 4, 2), (2, 2), (5, 1)]
+        assert calls == [(MOD_P, 4, 2), (2, 2), (5, 1)]
 
     def test_compute_strict_costs_two_after_parse(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "doc.json"
