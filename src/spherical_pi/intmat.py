@@ -360,28 +360,43 @@ def _rank_mod(m: IntMatrix) -> int:
     multiplier and the pivot's entries are below ``_P``, so an entry grows
     by less than ``_P**2`` per pivot and, with room for ``m.cols + 1``
     times that, never carries into the next.  Entries are reduced only
-    where they are read: the leading entry of each row, and the row that
-    becomes the pivot.  Each column's entry is then shifted out.
+    where they are read: the leading entry of each row, and the pivot row.
+    A row that no update has touched still holds the residues ``_pack``
+    made, so it is searched first for a pivot, which then needs no
+    repacking.  Each column's entry is then shifted out.
     """
     w = 2 * _P.bit_length() + (m.cols + 1).bit_length()
     low = (1 << w) - 1
-    rows = [_pack(row, w) for row in m.entries]
+    clean = [_pack(row, w) for row in m.entries]  # entries below _P
+    dirty: list[int] = []  # rows that an update touched
     rank = 0
     for width in range(m.cols, 0, -1):
-        i = next((i for i, row in enumerate(rows) if (row & low) % _P), None)
-        if i is None:
-            rows = [row >> w for row in rows]
-            continue
-        # the pivot's entries are reduced below _P, which bounds the growth
-        packed = rows.pop(i)
-        pivot = _pack([packed >> (w * j) & low for j in range(width)], w)
+        i = next((i for i, row in enumerate(clean) if row & low), None)
+        if i is not None:
+            pivot = clean.pop(i)
+        else:
+            i = next((i for i, row in enumerate(dirty) if (row & low) % _P), None)
+            if i is None:
+                clean = [row >> w for row in clean]
+                dirty = [row >> w for row in dirty]
+                continue
+            # the pivot's entries are reduced below _P, which bounds the growth
+            packed = dirty.pop(i)
+            pivot = _pack([packed >> (w * j) & low for j in range(width)], w)
         # row + (lead * minus_inverse mod _P) * pivot has a lead of 0 mod _P
         minus_inverse = _P - pow(pivot & low, -1, _P)
-        rows = [
+        dirty = [
             (row + lead * minus_inverse % _P * pivot) >> w if (lead := row & low)
             else row >> w
-            for row in rows
+            for row in dirty
         ]
+        untouched = []
+        for row in clean:
+            if lead := row & low:
+                dirty.append((row + lead * minus_inverse % _P * pivot) >> w)
+            else:
+                untouched.append(row >> w)
+        clean = untouched
         rank += 1
     return rank
 

@@ -14,7 +14,11 @@ exponent p.  From it we compute, in the coordinates of the weight basis:
   space) as the p'-parts of those two quotients, with each divisible
   quotient direction contributing one profinite prime-to-p factor to pi1.
 
-Everything before the final p'-extraction is characteristic-free.
+Everything before the final p'-extraction is characteristic-free.  A
+datum and the copies :meth:`SphericalDatum.with_char_exponent` makes of
+it share that core: the two quotients and the p-free check outcomes.
+:func:`full_report` fills it on first use, and a report at another p
+only projects it.
 """
 
 from __future__ import annotations
@@ -84,6 +88,9 @@ class SphericalDatum:
         if not _full_column_rank(self.lattice_embedding):
             raise ValueError("lattice embedding is rank-deficient")
         _check_char_exponent(self.char_exponent)
+        # the characteristic-free core of full_report, empty until its first
+        # call; not a field, so ==, hash, repr and replace ignore it
+        object.__setattr__(self, "_core", [])
 
     @property
     def rank(self) -> int:
@@ -100,6 +107,12 @@ class SphericalDatum:
         return self.colors.rows
 
     def with_char_exponent(self, p: int) -> "SphericalDatum":
+        """This datum at characteristic exponent ``p``.
+
+        The copy shares the characteristic-free core of :func:`full_report`
+        with this datum, which every other field, being immutable, makes
+        safe: a report of either fills it for both.
+        """
         # only p is new: the shapes and the embedding rank were checked
         _check_char_exponent(p)
         out = copy.copy(self)
@@ -166,7 +179,8 @@ def validate(sd: SphericalDatum) -> tuple[CheckOutcome, ...]:
     genuine homogeneous data always satisfies it, so a failure is a
     warning, which :func:`_require_pass` turns into an error.
     """
-    return _checks(sd, snf(sd.colors, with_u=False))
+    colors_snf = snf(sd.colors, with_u=False)
+    return _checks(sd, colors_snf) + (_char_check(sd.char_exponent),)
 
 
 def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
@@ -178,11 +192,13 @@ def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
 
 
 def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ...]:
-    """The outcomes of :func:`validate`, given the Smith form U F V = S of the colors.
+    """The two outcomes of :func:`validate` that do not depend on p.
 
-    A restricted coroot c is an integer combination of the rows of F
-    exactly when c V = z S for an integer row z, that is when (c V)_j is
-    divisible by s_j below the rank and zero from the rank on.
+    They are the embedding rank and the coroot span, read off the Smith
+    form U F V = S of the colors.  A restricted coroot c is an integer
+    combination of the rows of F exactly when c V = z S for an integer
+    row z, that is when (c V)_j is divisible by s_j below the rank and
+    zero from the rank on.
     """
     outcomes = [
         CheckOutcome(
@@ -218,16 +234,18 @@ def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ..
                 "of the color functionals",
             )
         )
-    outcomes.append(
-        CheckOutcome(
-            "char-exponent",
-            PASS,
-            "characteristic exponent is 1 (characteristic zero)"
-            if sd.char_exponent == 1
-            else f"characteristic exponent {sd.char_exponent} is prime",
-        )
-    )
     return tuple(outcomes)
+
+
+def _char_check(p: int) -> CheckOutcome:
+    """The outcome of the characteristic-exponent check, the one that names p."""
+    return CheckOutcome(
+        "char-exponent",
+        PASS,
+        "characteristic exponent is 1 (characteristic zero)"
+        if p == 1
+        else f"characteristic exponent {p} is prime",
+    )
 
 
 def color_saturation(sd: SphericalDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:
@@ -333,15 +351,29 @@ def full_report(sd: SphericalDatum) -> Report:
     small matrix (see :func:`_ambient_quotient`).  pi1 and pi0 are the
     p'-parts of the two quotients.  A failed coroot-span check is a
     warning in ``validation``.
+
+    The quotients and the p-free outcomes are computed once, on the first
+    report of ``sd`` or of a datum it shares its core with (see
+    :meth:`SphericalDatum.with_char_exponent`); later reports only project
+    them to their own p.
     """
-    colors_snf = snf(sd.colors, with_u=False)
-    sat_q = smith_quotient(colors_snf)
-    amb_q = _ambient_quotient(sd, colors_snf)
+    core = sd._core  # type: ignore[attr-defined]
+    if not core:
+        colors_snf = snf(sd.colors, with_u=False)
+        core.append(
+            (
+                smith_quotient(colors_snf),
+                _ambient_quotient(sd, colors_snf),
+                _checks(sd, colors_snf),
+            )
+        )
+    sat_q, amb_q, outcomes = core[0]
+    p = sd.char_exponent
     return Report(
         datum=sd,
         saturation_quotient=sat_q,
         ambient_saturation_quotient=amb_q,
-        pi0=_p_prime_pi(amb_q, sd.char_exponent),
-        pi1=_p_prime_pi(sat_q, sd.char_exponent),
-        validation=_checks(sd, colors_snf),
+        pi0=_p_prime_pi(amb_q, p),
+        pi1=_p_prime_pi(sat_q, p),
+        validation=outcomes + (_char_check(p),),
     )

@@ -545,6 +545,24 @@ def rank_case(rng, i):
     return draw(nr, nc)
 
 
+def rank_mod_reference(m):
+    """The rank of ``m`` over ``Z/_P`` by plain elimination on lists of residues."""
+    rows = [[x % _P for x in row] for row in m.entries]
+    rank = 0
+    for j in range(m.cols):
+        pivot = next((row for row in rows if row[j]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inverse = pow(pivot[j], -1, _P)
+        rows = [
+            [(a - row[j] * inverse * b) % _P for a, b in zip(row, pivot)]
+            for row in rows
+        ]
+        rank += 1
+    return rank
+
+
 class TestRankModP:
     """``_rank_mod`` against the exact rank, and the fallback of ``_full_column_rank``."""
 
@@ -577,6 +595,26 @@ class TestRankModP:
         assert abs(det(m)) == 3 * _P
         assert _rank_mod(m) == 3
         assert _full_column_rank(m)
+
+    def test_sparse_against_a_plain_elimination(self):
+        # mostly zero entries, so that many pivot rows were never updated,
+        # with multiples of _P and dependent rows among them
+        rng = random.Random("rank-mod-p sparse")
+        entries = (0, 0, 0, 0, 1, -1, 2, 3, _P, 2 * _P + 1, -(2**90))
+        deficient = 0
+        for _ in range(600):
+            nr, nc = rng.randint(0, 10), rng.randint(0, 8)
+            rows = [[rng.choice(entries) for _ in range(nc)] for _ in range(nr)]
+            if nr > 2 and rng.random() < 0.3:
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            m = mat(rows, cols=nc)
+            want = rank_mod_reference(m)
+            assert _rank_mod(m) == want
+            deficient += want < snf(m, with_u=False, with_v=False).rank
+        unit = [[int(i == j) for j in range(40)] for i in range(40)]
+        assert _rank_mod(mat(unit + [[-x for x in row] for row in unit])) == 40
+        # some ranks drop mod _P alone
+        assert deficient >= 10
 
 
 def test_diagonal_agrees_with_sympy():

@@ -11,6 +11,8 @@ permutation of the colors, a duplicated color, or an appended integer
 combination of colors.  Random data come from seeded ``random`` draws.
 """
 
+import dataclasses
+import itertools
 import json
 import random
 import re
@@ -19,7 +21,7 @@ import sys
 import pytest
 
 from spherical_pi import cli, intmat, spherical
-from spherical_pi.catalog import catalog_entry, run_entry
+from spherical_pi.catalog import CHARACTERISTICS, catalog_entry, run_entry
 from spherical_pi.documents import ParseError, parse
 from spherical_pi.intmat import IntMatrix, snf, stack_rows
 from spherical_pi.lattices import smith_quotient
@@ -179,6 +181,46 @@ class TestSnfBudget:
         # of E V, taken mod s in its one column
         shapes = snf_shapes(monkeypatch, full_report, group_case(series, n))
         assert shapes == [(n, n), ambient]
+
+    @pytest.mark.parametrize("series, n, ambient", [("A", 6, (13, 1)), ("D", 5, (9, 1))])
+    def test_reports_at_every_p_share_two(self, monkeypatch, series, n, ambient):
+        # the datum and its copies at each p, a copy of a copy among them,
+        # reported in every order of p, cost the two forms of one report
+        calls = record_snf(monkeypatch)
+        for order in itertools.permutations(CHARACTERISTICS):
+            sd = group_case(series, n)
+            calls.clear()
+            current = sd
+            for p in order:
+                current = current.with_char_exponent(p)
+                assert full_report(current).datum.char_exponent == p
+            full_report(sd)
+            assert calls == [(n, n), ambient]
+
+    def test_a_replaced_or_rebuilt_datum_pays_its_own_two(self, monkeypatch):
+        sd = group_case("A", 3)
+        twin = group_case("A", 3, factor=2)
+        others = (
+            dataclasses.replace(sd, colors=twin.colors),
+            dataclasses.replace(sd),
+            SphericalDatum(sd.root_datum, sd.lattice_embedding, sd.colors, 1, sd.label),
+        )
+        calls = record_snf(monkeypatch)
+        full_report(twin)
+        twin_shapes = list(calls)
+        calls.clear()
+        full_report(sd)
+        own_shapes = list(calls)
+        assert own_shapes == [(3, 3), (7, 1)]
+        for other, shapes in zip(others, (twin_shapes, own_shapes, own_shapes)):
+            calls.clear()
+            full_report(other.with_char_exponent(2))
+            full_report(other)
+            assert calls == shapes
+        calls.clear()
+        assert full_report(sd).validation == full_report(others[2]).validation
+        assert flagged(full_report(others[0]).validation) == list(range(6))
+        assert calls == []
 
     def test_torus_report_costs_two(self, monkeypatch):
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])

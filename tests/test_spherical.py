@@ -1,10 +1,15 @@
 """Pipeline tests: validation, saturations, pi0/pi1, full reports."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from make_golden import random_documents
+from spherical_pi.catalog import CHARACTERISTICS, catalog
+from spherical_pi.documents import parse, serialize_report
 from spherical_pi.intmat import DimensionError, IntMatrix, snf
 from spherical_pi.lattices import (
     FinGenAbQuotient,
@@ -363,10 +368,57 @@ class TestFullReport:
 
 
 def catalog_data():
-    from spherical_pi.catalog import catalog
-    from spherical_pi.documents import parse
-
     return [(e.name, parse(e.document)) for e in catalog()]
+
+
+def all_documents():
+    """Every catalog document and the seeded random documents of the golden files."""
+    return [e.document for e in catalog()] + [text for _, text in random_documents()]
+
+
+def with_p(text, p):
+    return json.dumps(dict(json.loads(text), p=p))
+
+
+class TestSharedCore:
+    """A datum and its copies at other p share one characteristic-free core."""
+
+    def test_reports_through_shared_copies_match_fresh_parses(self):
+        rng = random.Random("shared-core")
+        for text in all_documents():
+            sd = parse(text)
+            ps = sorted({*CHARACTERISTICS, sd.char_exponent})
+            rng.shuffle(ps)
+            # each datum is a copy of the one before, the parsed one first
+            for p in ps:
+                sd = sd.with_char_exponent(p)
+                fresh = full_report(parse(with_p(text, p)))
+                report = full_report(sd)
+                assert report.datum == fresh.datum
+                for fmt in ("structured", "text"):
+                    got = serialize_report(report, format=fmt)
+                    assert got == serialize_report(fresh, format=fmt), (text, p)
+
+    def test_a_reported_datum_still_equals_a_fresh_parse(self):
+        for text in all_documents()[::5]:
+            sd = parse(text)
+            full_report(sd.with_char_exponent(2))
+            full_report(sd)
+            fresh = parse(text)
+            assert sd == fresh
+            assert hash(sd) == hash(fresh)
+            assert repr(sd) == repr(fresh)
+            assert dataclasses.replace(sd) == fresh
+
+    def test_the_core_is_no_field(self):
+        names = [f.name for f in dataclasses.fields(SphericalDatum)]
+        assert names == [
+            "root_datum",
+            "lattice_embedding",
+            "colors",
+            "char_exponent",
+            "label",
+        ]
 
 
 class TestCharZeroIsIdentity:
