@@ -5,11 +5,19 @@ bound and nothing overflows silently.  ``snf(m)`` returns the unimodular
 transformations ``U`` and ``V`` alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
 multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
-The pipeline asks only for what it reads.  The colors' Smith form takes
+The pipeline asks only for what it reads.  On the Smith route of the
+report (colors without full column rank) the colors' Smith form takes
 ``V`` only, because the coroot-span check and the ambient quotient (and
 so pi0) read it, and so does ``dual_saturation``.  pi1 and the reduced
 ambient form take neither certificate.  Both certificates are read only
 by the independent verification route, :mod:`spherical_pi.verify`.
+
+Colors of full column rank take no certificate at all.  ``_det_minor``
+finds the determinant D of a nonsingular square row minor by a
+fraction-free elimination, and ``_hermite_mod`` computes the Hermite
+basis of the row lattice with every entry kept below a multiple of the
+lattice's index, such as D (Cohen, GTM 138, Alg. 2.4.8).  The report
+reads its quotients and the coroot-span check off that basis.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
@@ -38,6 +46,7 @@ the ``V`` block along, and a skipped certificate has no block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from .arith import _check_count
@@ -361,44 +370,175 @@ def _rank_mod(m: IntMatrix) -> int:
     by less than ``_P**2`` per pivot and, with room for ``m.cols + 1``
     times that, never carries into the next.  Entries are reduced only
     where they are read: the leading entry of each row, and the pivot row.
-    A row that no update has touched still holds the residues ``_pack``
-    made, so it is searched first for a pivot, which then needs no
-    repacking.  Each column's entry is then shifted out.
+    A row that no update has touched ("clean") still holds the residues
+    ``_pack`` made at their own columns; it waits under its lead column,
+    is searched first for a pivot there, and is shifted into line only
+    when it becomes the pivot or is updated.  A pivot found among the
+    other ("dirty") rows is repacked, and every column's entry of a dirty
+    row is shifted out.  A row that becomes 0 is dropped.
     """
     w = 2 * _P.bit_length() + (m.cols + 1).bit_length()
     low = (1 << w) - 1
-    clean = [_pack(row, w) for row in m.entries]  # entries below _P
-    dirty: list[int] = []  # rows that an update touched
+    # clean rows by lead column, entries below _P
+    clean: list[list[int]] = [[] for _ in range(m.cols)]
+    for row in m.entries:
+        if packed := _pack(row, w):
+            clean[((packed & -packed).bit_length() - 1) // w].append(packed)
+    dirty: list[int] = []  # rows that an update touched, column j at bits 0 to w
     rank = 0
-    for width in range(m.cols, 0, -1):
-        i = next((i for i, row in enumerate(clean) if row & low), None)
-        if i is not None:
-            pivot = clean.pop(i)
+    for j, waiting in enumerate(clean):
+        shift = w * j
+        if waiting:
+            pivot = waiting[0] >> shift
+            waiting = [row >> shift for row in waiting[1:]]
         else:
             i = next((i for i, row in enumerate(dirty) if (row & low) % _P), None)
             if i is None:
-                clean = [row >> w for row in clean]
                 dirty = [row >> w for row in dirty]
                 continue
             # the pivot's entries are reduced below _P, which bounds the growth
             packed = dirty.pop(i)
-            pivot = _pack([packed >> (w * j) & low for j in range(width)], w)
+            pivot = _pack([packed >> (w * k) & low for k in range(m.cols - j)], w)
         # row + (lead * minus_inverse mod _P) * pivot has a lead of 0 mod _P
         minus_inverse = _P - pow(pivot & low, -1, _P)
-        dirty = [
-            (row + lead * minus_inverse % _P * pivot) >> w if (lead := row & low)
-            else row >> w
-            for row in dirty
-        ]
-        untouched = []
-        for row in clean:
+        updated = []
+        for row in dirty + waiting:
             if lead := row & low:
-                dirty.append((row + lead * minus_inverse % _P * pivot) >> w)
-            else:
-                untouched.append(row >> w)
-        clean = untouched
+                row += lead * minus_inverse % _P * pivot
+            if row := row >> w:
+                updated.append(row)
+        dirty = updated
         rank += 1
     return rank
+
+
+def _lead(row: Sequence[int], s: int) -> int | None:
+    """The column of the first nonzero entry of ``row``, which holds the
+    entries from column s on, or None when there is none."""
+    x = next(filter(None, row), 0)
+    return row.index(x) + s if x else None
+
+
+def _det_minor(rows: Sequence[Sequence[int]], n: int) -> int:
+    """``|det|`` of a nonsingular ``n x n`` row minor, or 0 when the rank is below n.
+
+    Fraction-free (Bareiss) elimination with row pivoting: step k takes
+    the first remaining row with a nonzero entry in column k as its pivot
+    row, and the other rows become ``(p_k row - row[k] pivot) / p_{k-1}``,
+    an exact division, where ``p_k`` is the pivot's entry in column k and
+    ``p_{-1} = 1``.  The pivot rows form the minor and ``|p_{n-1}|`` is
+    its determinant, a multiple of the index of the row lattice; a column
+    without a pivot means a rank below n.
+
+    A row is brought up to date only when a step reads it, which is
+    when the search for a pivot reaches it, so the rows after the last
+    pivot are never touched.  Steps at which it has 0 in the pivot column
+    would only scale it by ``p_k / p_{k-1}``; they are skipped, and the
+    ``p_{t-1} / p_{s-1}`` that steps s to t - 1 owe it is paid at the
+    next step t that updates it, or when it becomes the pivot.
+    """
+    p = [1]  # p[k] = p_{k-1}
+    tails: list[Sequence[int]] = []  # the pivot row of step k, from column k + 1 on
+    # each remaining row as its entries from column s on at step s, and s
+    work = [(row, 0) for row in rows]
+    for k in range(n):
+        if len(work) < n - k:
+            return 0
+        for i, (row, s) in enumerate(work):
+            for t in range(s, k):
+                c = row[t - s]
+                if not c:
+                    continue
+                row = row[t - s :]
+                if t > s:
+                    row = [x * p[t] // p[s] for x in row]
+                c = row[0]
+                row = [(p[t + 1] * x - c * y) // p[t] for x, y in zip(row[1:], tails[t])]
+                s = t + 1
+            work[i] = (row, s)
+            if row[k - s]:
+                break
+        else:
+            return 0
+        del work[i]
+        row = row[k - s :]
+        if k > s:
+            row = [x * p[k] // p[s] for x in row]
+        p.append(row[0])
+        tails.append(row[1:])
+    return abs(p[n])
+
+
+def _hermite_mod(rows: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
+    """The Hermite basis of the row lattice of ``rows``, computed mod ``d``.
+
+    ``d`` must be a nonzero multiple of the index of the lattice in
+    ``Z^n``; the result is then the n x n upper-triangular basis ``H`` with
+    ``h_jj > 0`` and ``0 <= h_ij < h_jj`` above the diagonal.  The lattice
+    contains ``d Z^n``, so rows are kept mod ``d`` (Cohen, GTM 138, Alg.
+    2.4.8; Domich, Kannan and Trotter 1987).  Column j folds every row
+    with a nonzero entry there into one by extended-gcd pairs, which act on
+    entries j to n - 1 only.  Row j of ``H`` is that row times ``u``, where
+    ``u x = gcd(x, R) = h_jj`` mod the current modulus R; R then becomes
+    ``R / h_jj``, the index of what is left.  A row waits untouched under
+    its first nonzero column until that column comes, and moves on if its
+    entry there is a multiple of R.  Last, rows are reduced from the
+    bottom up: each entry above a pivot is reduced mod it by the reduced
+    row below, along that row's nonzero entries only.
+    """
+    mod = d
+    # (entries from column s on, s) of the working rows by lead column
+    waiting: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(n)]
+    for row in rows:
+        if (c := _lead(row, 0)) is not None:
+            waiting[c].append((row, 0))
+    basis = []
+    for j, bucket in enumerate(waiting):
+        pivot = None
+        for row, s in bucket:
+            row = row[j - s :]
+            b = row[0] % mod
+            if not b:
+                # a multiple of R: wait under the next column that is not
+                row = [x % mod for x in row]
+                if (c := _lead(row, j)) is not None:
+                    waiting[c].append((row, j))
+                continue
+            if pivot is None:
+                pivot = [b] + [x % mod for x in row[1:]]
+                continue
+            a, top, row = pivot[0], pivot[1:], row[1:]
+            if b % a:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                # [[u, v], [-b, a]] is unimodular and takes (a, b) to (1, 0)
+                u = pow(a, -1, b)
+                v = (1 - u * a) // b
+                pivot = [g] + [(u * x + v * y) % mod for x, y in zip(top, row)]
+                row = [(a * y - b * x) % mod for x, y in zip(top, row)]
+            else:
+                q = b // a
+                row = [(y - q * x) % mod for x, y in zip(top, row)]
+            if (c := _lead(row, j + 1)) is not None:
+                waiting[c].append((row, j + 1))
+        if pivot is None:
+            h, tail = mod, [0] * (n - j - 1)
+        else:
+            h = gcd(pivot[0], mod)
+            u = pow(pivot[0] // h, -1, mod // h)
+            tail = [u * x % mod for x in pivot[1:]]
+        basis.append([0] * j + [h] + tail)
+        mod //= h
+    support: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = basis[i]
+        for j in range(i + 1, n):
+            if q := row[j] // basis[j][j]:
+                below = basis[j]
+                for k in support[j]:
+                    row[k] -= q * below[k]
+        support[i] = [k for k in range(i, n) if row[k]]
+    return basis
 
 
 def _full_column_rank(m: IntMatrix) -> bool:

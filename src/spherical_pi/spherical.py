@@ -8,8 +8,7 @@ exponent p.  From it we compute, in the coordinates of the weight basis:
 * the color saturation: all fractional weights on which every color
   functional is integral;
 * its restriction to the ambient character lattice, obtained by imposing
-  integrality of the embedding coordinates as additional functionals,
-  whose quotient is read off the Smith form of the colors;
+  integrality of the embedding coordinates as additional functionals;
 * the prime-to-p parts of pi0 (of the isotropy group) and pi1 (of the
   space) as the p'-parts of those two quotients, with each divisible
   quotient direction contributing one profinite prime-to-p factor to pi1.
@@ -17,21 +16,28 @@ exponent p.  From it we compute, in the coordinates of the weight basis:
 Everything before the final p'-extraction is characteristic-free.  A
 datum and the copies :meth:`SphericalDatum.with_char_exponent` makes of
 it share that core: the two quotients and the p-free check outcomes.
-:func:`full_report` fills it on first use, and a report at another p
-only projects it.
+:func:`full_report` and :func:`validate` fill it on first use, and a
+report at another p only projects it.  When the colors F have full
+column rank, the core is read off Hermite bases taken modulo a
+determinant, with no certificate (see :func:`_core`); other colors take
+the Smith form of F with ``V``, which is also the route of the public
+:func:`ambient_saturation_quotient` and :func:`pi0_p_prime`.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from math import prod
 
 from .arith import _check_char_exponent, _check_count
 from .intmat import (
     DimensionError,
     IntMatrix,
     SnfResult,
+    _det_minor,
     _full_column_rank,
+    _hermite_mod,
     snf,
     stack_rows,
 )
@@ -177,10 +183,12 @@ def validate(sd: SphericalDatum) -> tuple[CheckOutcome, ...]:
     substantial check is that every simple coroot, restricted to the
     weight lattice, is an integer combination of the color functionals;
     genuine homogeneous data always satisfies it, so a failure is a
-    warning, which :func:`_require_pass` turns into an error.
+    warning, which :func:`_require_pass` turns into an error.  The p-free
+    outcomes are those of the characteristic-free core that
+    :func:`full_report` reads (and fills, when it is empty), so the two
+    cannot disagree.
     """
-    colors_snf = snf(sd.colors, with_u=False)
-    return _checks(sd, colors_snf) + (_char_check(sd.char_exponent),)
+    return _core(sd)[2] + (_char_check(sd.char_exponent),)
 
 
 def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
@@ -191,14 +199,12 @@ def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
         )
 
 
-def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ...]:
+def _checks(sd: SphericalDatum, outside: list[int]) -> tuple[CheckOutcome, ...]:
     """The two outcomes of :func:`validate` that do not depend on p.
 
-    They are the embedding rank and the coroot span, read off the Smith
-    form U F V = S of the colors.  A restricted coroot c is an integer
-    combination of the rows of F exactly when c V = z S for an integer
-    row z, that is when (c V)_j is divisible by s_j below the rank and
-    zero from the rank on.
+    They are the embedding rank, which construction enforced, and the
+    coroot span, which fails on the restricted coroots ``outside`` the
+    integer row span of the colors.
     """
     outcomes = [
         CheckOutcome(
@@ -207,16 +213,8 @@ def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ..
             f"lattice embedding has full column rank {sd.rank}",
         )
     ]
-    rank = colors_snf.rank
-    diag = colors_snf.diagonal()
-    restricted = sd.root_datum.coroot_matrix() @ sd.lattice_embedding
-    bad = [
-        i
-        for i, row in enumerate((restricted @ colors_snf.V).entries)
-        if any(x % diag[j] if j < rank else x for j, x in enumerate(row))
-    ]
-    if bad:
-        indices = ", ".join(str(i) for i in bad)
+    if outside:
+        indices = ", ".join(str(i) for i in outside)
         outcomes.append(
             CheckOutcome(
                 "coroot-span",
@@ -235,6 +233,59 @@ def _checks(sd: SphericalDatum, colors_snf: SnfResult) -> tuple[CheckOutcome, ..
             )
         )
     return tuple(outcomes)
+
+
+def _outside_smith(sd: SphericalDatum, colors_snf: SnfResult) -> list[int]:
+    """The restricted coroots outside L(F), read off the Smith form U F V = S.
+
+    A restricted coroot c is an integer combination of the rows of F
+    exactly when c V = z S for an integer row z, that is when (c V)_j is
+    divisible by s_j below the rank and zero from the rank on.
+    """
+    rank = colors_snf.rank
+    diag = colors_snf.diagonal()
+    restricted = sd.root_datum.coroot_matrix() @ sd.lattice_embedding
+    return [
+        i
+        for i, row in enumerate((restricted @ colors_snf.V).entries)
+        if any(x % diag[j] if j < rank else x for j, x in enumerate(row))
+    ]
+
+
+def _outside_hermite(sd: SphericalDatum, basis: list[list[int]]) -> list[int]:
+    """The restricted coroots outside L(F), divided down its Hermite basis H.
+
+    A restricted coroot c lies in L(F) exactly when, for j = 0, 1, ...,
+    entry j of what is left of c is a multiple q of ``h_jj``, which then
+    takes away q times row j.  Column j of H is e_j where ``h_jj = 1``, so
+    such a row j is nonzero only at j and at the columns K with ``h_kk >
+    1``, and its q is ``c_j`` itself.  Those steps leave ``c W`` on K,
+    where column k of W is e_k less the entries of column k of H in the
+    rows outside K; it is then divided down the rows K of H.
+    """
+    kept = [j for j, row in enumerate(basis) if row[j] > 1]
+    w = IntMatrix._trusted(
+        sd.rank,
+        len(kept),
+        tuple(
+            tuple(int(j == k) if row[j] > 1 else -row[k] for k in kept)
+            for j, row in enumerate(basis)
+        ),
+    )
+    # the coroots restricted to the weight lattice, then W, in the order
+    # that keeps the products small
+    left = sd.root_datum.coroot_matrix() @ (sd.lattice_embedding @ w)
+    outside = []
+    for i, c in enumerate(left.entries):
+        for t, k in enumerate(kept):
+            q, rem = divmod(c[t], basis[k][k])
+            if rem:
+                outside.append(i)
+                break
+            if q:
+                row = basis[k]
+                c = c[:t] + tuple(x - q * row[k2] for x, k2 in zip(c[t:], kept[t:]))
+    return outside
 
 
 def _char_check(p: int) -> CheckOutcome:
@@ -342,32 +393,75 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
     return _p_prime_pi(smith_quotient(colors_snf), sd.char_exponent)
 
 
-def full_report(sd: SphericalDatum) -> Report:
-    """Validate and run the whole pipeline from two Smith forms.
+def _hermite_quotient(basis: list[list[int]]) -> FinGenAbQuotient:
+    """The quotient of ``Z^r`` by the lattice with this Hermite basis.
 
-    The Smith form U F V = S of the colors gives the coroot-span check
-    and the color saturation quotient.  Its invariant factors and ``V``
-    reduce the ambient quotient to the certificate-free Smith form of a
-    small matrix (see :func:`_ambient_quotient`).  pi1 and pi0 are the
-    p'-parts of the two quotients.  A failed coroot-span check is a
-    warning in ``validation``.
+    A column j with ``h_jj = 1`` is the unit vector e_j, since the entries
+    above a pivot are reduced mod it, so it and row j split off a trivial
+    factor; what is left is the basis on the rows and columns with
+    ``h_jj > 1``.
+    """
+    kept = [j for j, row in enumerate(basis) if row[j] > 1]
+    m = IntMatrix._trusted(
+        len(kept), len(kept), tuple(tuple(basis[i][j] for j in kept) for i in kept)
+    )
+    return smith_quotient(snf(m, with_u=False, with_v=False))
 
-    The quotients and the p-free outcomes are computed once, on the first
-    report of ``sd`` or of a datum it shares its core with (see
-    :meth:`SphericalDatum.with_char_exponent`); later reports only project
-    them to their own p.
+
+def _core(
+    sd: SphericalDatum,
+) -> tuple[FinGenAbQuotient, FinGenAbQuotient, tuple[CheckOutcome, ...]]:
+    """The characteristic-free core of ``sd``, computed on first use.
+
+    It holds the two quotients and the p-free check outcomes.  When the
+    colors F have full column rank, ``_det_minor`` gives ``D != 0``, a
+    multiple of the index of L(F), and everything is read off the Hermite
+    basis H of L(F) taken mod D, with no certificate.  L(F) lies in L([F;
+    E]), so ``det H`` is a multiple of the index of the latter, whose
+    Hermite basis mod ``det H`` gives the ambient quotient.  Any other F
+    takes the certified route: the Smith form of F with ``V``, which gives
+    both the span check and, by :func:`_ambient_quotient`, the ambient
+    quotient; it is the only route with a divisible part.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
-        colors_snf = snf(sd.colors, with_u=False)
-        core.append(
-            (
-                smith_quotient(colors_snf),
-                _ambient_quotient(sd, colors_snf),
-                _checks(sd, colors_snf),
+        colors = sd.colors.entries
+        d = _det_minor(colors, sd.rank)
+        if d:
+            basis = _hermite_mod(colors, sd.rank, d)
+            index = prod(row[j] for j, row in enumerate(basis))
+            ambient = _hermite_mod(
+                basis + list(sd.lattice_embedding.entries), sd.rank, index
             )
-        )
-    sat_q, amb_q, outcomes = core[0]
+            quotients = (_hermite_quotient(basis), _hermite_quotient(ambient))
+            outside = _outside_hermite(sd, basis)
+        else:
+            colors_snf = snf(sd.colors, with_u=False)
+            quotients = (smith_quotient(colors_snf), _ambient_quotient(sd, colors_snf))
+            outside = _outside_smith(sd, colors_snf)
+        core.append(quotients + (_checks(sd, outside),))
+    return core[0]
+
+
+def full_report(sd: SphericalDatum) -> Report:
+    """Validate and run the whole pipeline from the characteristic-free core.
+
+    The core (see :func:`_core`) holds the color saturation quotient, the
+    ambient one and the embedding-rank and coroot-span outcomes.  Colors
+    of full column rank cost one determinant, two Hermite bases taken mod
+    a determinant and two certificate-free Smith forms of their blocks
+    with pivots above 1; any other colors cost the Smith form U F V = S
+    with ``V`` and the certificate-free one of the small matrix
+    :func:`_ambient_quotient` builds from it.  pi1 and pi0 are the
+    p'-parts of the two quotients.  A failed coroot-span check is a
+    warning in ``validation``.
+
+    The core is computed once, on the first report or validation of
+    ``sd`` or of a datum it shares its core with (see
+    :meth:`SphericalDatum.with_char_exponent`); later reports only project
+    it to their own p.
+    """
+    sat_q, amb_q, outcomes = _core(sd)
     p = sd.char_exponent
     return Report(
         datum=sd,

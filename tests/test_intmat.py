@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,9 @@ from spherical_pi.intmat import (
     _P,
     DimensionError,
     IntMatrix,
+    _det_minor,
     _full_column_rank,
+    _hermite_mod,
     _rank_mod,
     snf,
     stack_rows,
@@ -615,6 +618,154 @@ class TestRankModP:
         assert _rank_mod(mat(unit + [[-x for x in row] for row in unit])) == 40
         # some ranks drop mod _P alone
         assert deficient >= 10
+
+
+def first_minor_det(rows, n):
+    """``|det|`` of the minor that row pivoting picks, by elimination over Q.
+
+    Column k takes the first remaining row with a nonzero entry there; 0
+    when some column has none.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    d = Fraction(1)
+    for k in range(n):
+        pivot = next((row for row in work if row[k]), None)
+        if pivot is None:
+            return 0
+        work.remove(pivot)
+        d *= pivot[k]
+        work = [[a - row[k] / pivot[k] * b for a, b in zip(row, pivot)] for row in work]
+    assert d.denominator == 1
+    return abs(int(d))
+
+
+def index_of(m):
+    """The index of the row lattice of ``m`` in ``Z^cols``, 0 when it is infinite."""
+    res = snf(m, with_u=False, with_v=False)
+    return math.prod(res.diagonal()) if res.rank == m.cols else 0
+
+
+def hermite_reference(m):
+    """The Hermite basis of the row lattice of ``m`` (full column rank), from
+    the column-style ``verify.hnf`` of its transpose."""
+    h = hnf(m.transpose()).H
+    return [list(h.column(j)) for j in range(m.cols)]
+
+
+def divide_down(basis, v):
+    """Whether ``v`` is an integer combination of the rows of the
+    upper-triangular ``basis``."""
+    v = list(v)
+    for j, row in enumerate(basis):
+        q, rem = divmod(v[j], row[j])
+        if rem:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def planted(rng, m, n, diag, bound):
+    """``U D V`` with dense unimodular ``U`` (m x m) and ``V`` (n x n) and
+    ``D`` the m x n matrix with ``diag`` on its diagonal."""
+    d = mat([[diag[i] if i == j and i < len(diag) else 0 for j in range(n)]
+             for i in range(m)], cols=n)
+    return unimodular(rng, m, bound) @ d @ unimodular(rng, n, bound)
+
+
+def kernel_inputs():
+    """Seeded inputs for the determinant and Hermite kernels.
+
+    The shapes and bit sizes of ``flag_case``, then planted ``U D V``
+    products of rank up to 30 with entries of up to 13 or 14 bits: full
+    rank square and tall, singular square and tall, and wide.
+    """
+    rng = random.Random("hermite-mod")
+    cases = [flag_case(rng, i) for i in range(320)]
+    for n in (1, 2, 5, 10, 20, 30):
+        for extra in (0, 1, n // 5 + 2):
+            diag = [rng.choice((1, 1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 9, 12, 30))
+                    for _ in range(n)]
+            cases.append(planted(rng, n + extra, n, diag, 2))
+        # a zero on the diagonal: singular with as many rows as columns or more
+        for extra in (0, 2):
+            cases.append(planted(rng, n + extra, n, [1] * (n - 1) + [0], 2))
+        if n > 1:
+            cases.append(planted(rng, n // 2, n, [2] * n, 2))
+    return cases
+
+
+class TestHermiteMod:
+    """``_det_minor`` and ``_hermite_mod`` against ``snf``, ``verify.hnf`` and Q."""
+
+    def test_det_minor_against_the_index_and_an_elimination_over_q(self):
+        verdicts = Counter()
+        for m in kernel_inputs():
+            d = _det_minor(m.entries, m.cols)
+            index = index_of(m)
+            assert d == first_minor_det(m.entries, m.cols)
+            assert (d == 0) == (index == 0)
+            if d:
+                assert d % index == 0
+            verdicts[bool(d), m.rows < m.cols, m.rows == m.cols] += 1
+        # full rank square and tall, singular square and tall, and wide
+        assert verdicts[True, False, True] >= 30 and verdicts[True, False, False] >= 80
+        assert verdicts[False, False, True] >= 25 and verdicts[False, False, False] >= 40
+        assert verdicts[False, True, False] >= 120
+
+    def test_planted_products_reach_rank_30_and_13_bits(self):
+        planted_cases = kernel_inputs()[320:]
+        assert max(m.cols for m in planted_cases) == 30
+        bits = max(abs(x).bit_length() for m in planted_cases for row in m.entries
+                   for x in row)
+        assert 13 <= bits <= 14
+
+    def test_hermite_mod_against_hnf_and_snf(self):
+        rng = random.Random("hermite-mod moduli")
+        checked = 0
+        for m in kernel_inputs():
+            d = _det_minor(m.entries, m.cols)
+            if not d:
+                continue
+            index = index_of(m)
+            want = hermite_reference(m)
+            # the determinant, the index itself, and bare multiples of it
+            for modulus in (d, index, index * rng.randint(2, 40), index * (1 << 70)):
+                basis = _hermite_mod(m.entries, m.cols, modulus)
+                assert basis == want, (m, modulus)
+            assert math.prod(row[j] for j, row in enumerate(want)) == index
+            s = snf(mat(want, cols=m.cols), with_u=False, with_v=False)
+            assert s.diagonal() == snf(m, with_u=False, with_v=False).diagonal()[: m.cols]
+            assert all(divide_down(want, row) for row in m.entries)
+            checked += 1
+        assert checked >= 120
+
+    def test_hermite_mod_of_a_lattice_and_a_larger_one(self):
+        # the ambient step: a Hermite basis H stacked on more rows, taken mod
+        # det H, which the index of the larger lattice divides
+        rng = random.Random("hermite-mod stacked")
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            while True:
+                f = sparse_matrix(rng, rng.randint(n, n + 3), n, 1, rng.choice((3, 20)))
+                d = _det_minor(f.entries, n)
+                if d:
+                    break
+            h = _hermite_mod(f.entries, n, d)
+            e = sparse_matrix(rng, rng.randint(0, 4), n, 0.6, 3)
+            both = stack_rows(f, e)
+            got = _hermite_mod(h + [list(row) for row in e.entries], n,
+                               math.prod(row[j] for j, row in enumerate(h)))
+            assert got == hermite_reference(both)
+
+    def test_edge_shapes(self):
+        assert _det_minor((), 0) == 1 and _hermite_mod((), 0, 1) == []
+        assert _det_minor(((),), 0) == 1
+        assert _det_minor((), 2) == 0
+        assert _det_minor(((0, 0), (0, 0), (0, 0)), 2) == 0
+        assert _det_minor(((0, 3), (0, 5), (2, 7)), 2) == 6
+        assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6) == [[2, 0], [0, 1]]
+        # an entry that is a multiple of the modulus counts as zero
+        assert _hermite_mod(((12, 7), (0, 1)), 2, 12) == [[12, 0], [0, 1]]
 
 
 def test_diagonal_agrees_with_sympy():

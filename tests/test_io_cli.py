@@ -1,6 +1,7 @@
 """Document format, report rendering, catalog, and the CLI surface."""
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -34,7 +35,7 @@ from spherical_pi.documents import (
 from spherical_pi.intmat import IntMatrix
 from spherical_pi.lattices import FinGenAbQuotient
 from spherical_pi.spherical import PiResult, SphericalDatum, full_report
-from spherical_pi.verify import torus
+from spherical_pi.verify import det, torus
 
 
 def doc_text(**overrides):
@@ -345,6 +346,25 @@ class TestParse:
         sd = parse(text)
         assert time.perf_counter() - start < 2.0
         assert sd.rank == sd.ambient_rank == 64
+
+    def test_a_dense_full_rank_colors_matrix_reports_in_bounded_time(self):
+        # rank 24 with random 256-bit colors and lattice I: the index of the
+        # colors' lattice is about |det|, so the Hermite basis is taken mod
+        # a 6000-bit determinant
+        rng = random.Random(24)
+        top = 2**MAX_ENTRY_BITS - 1
+        colors = [[rng.randint(-top, top) for _ in range(24)] for _ in range(24)]
+        identity = [[int(i == j) for j in range(24)] for i in range(24)]
+        explicit = {"rank": 24, "simple_roots": [], "simple_coroots": []}
+        sd = parse(
+            doc_text(root_datum={"explicit": explicit}, lattice=identity, colors=colors)
+        )
+        start = time.perf_counter()
+        report = full_report(sd)
+        assert time.perf_counter() - start < 5.0
+        factors = report.saturation_quotient.invariant_factors
+        assert math.prod(factors) == abs(det(sd.colors))
+        assert report.ambient_saturation_quotient.is_trivial
 
     def test_rank_deficient_embedding_is_structural(self):
         doc = {

@@ -1,15 +1,17 @@
-"""The two-Smith-form route of full_report.
+"""The two routes of full_report: Hermite bases and Smith forms.
 
-``full_report`` reads the coroot-span check off the Smith form of the
-colors.  These tests compare its verdicts with the reference route, one
-``solve_in_lattice`` per restricted coroot, pin the number of Smith
-forms a report costs, and check metamorphic properties: the quotients,
-pi0, pi1 and the coroot-span verdict depend only on the weight lattice
-inside the character lattice and on the integer row span of the colors,
-so they must not change under a unimodular change of weight basis, a
-permutation of the colors, a duplicated color, or an appended integer
-combination of colors.  Random data come from seeded ``random`` draws.
-"""
+``full_report`` reads its quotients and the coroot-span check off the
+Hermite basis of the colors' row lattice when the colors have full
+column rank, and off their Smith form otherwise.  These tests compare
+its verdicts with the reference route, one ``solve_in_lattice`` per
+restricted coroot, hold the Hermite route to the Smith route, pin the
+kernel calls a report costs, and check metamorphic properties: the
+quotients, pi0, pi1 and the coroot-span verdict depend only on the
+weight lattice inside the character lattice and on the integer row span
+of the colors, so they must not change under a unimodular change of
+weight basis, a permutation of the colors, a duplicated color, or an
+appended integer combination of colors.  Random data come from seeded
+``random`` draws."""
 
 import dataclasses
 import itertools
@@ -17,6 +19,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -129,21 +132,24 @@ class TestSpanCheckAgainstReference:
 
 
 MOD_P = "_rank_mod"
+DET = "_det_minor"
+HNF = "_hermite_mod"
 
 
 def record_snf(monkeypatch, requests=None):
     """List that collects the shape of every matrix handed to snf, from any module.
 
     Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
-    a new caller cannot escape the count.  ``intmat._rank_mod`` is patched
-    alike, and its calls go to the same list as ``(MOD_P, rows, cols)``.
+    a new caller cannot escape the count.  ``intmat._rank_mod``,
+    ``intmat._det_minor`` and ``intmat._hermite_mod`` are patched alike,
+    and their calls go to the same list as ``(MOD_P, rows, cols)``,
+    ``(DET, rows, cols)`` and ``(HNF, rows, cols)``.
 
     ``requests``, when given, collects the certificate keywords
     ``(with_u, with_v)`` of every call to snf.
     """
     calls = []
     real = intmat.snf
-    real_mod = intmat._rank_mod
 
     def counting(m, *, with_u=True, with_v=True):
         calls.append((m.rows, m.cols))
@@ -151,16 +157,29 @@ def record_snf(monkeypatch, requests=None):
             requests.append((with_u, with_v))
         return real(m, with_u=with_u, with_v=with_v)
 
-    def counting_mod(m):
+    def counting_mod(m, real=intmat._rank_mod):
         calls.append((MOD_P, m.rows, m.cols))
-        return real_mod(m)
+        return real(m)
 
+    def counting_det(rows, n, real=intmat._det_minor):
+        calls.append((DET, len(rows), n))
+        return real(rows, n)
+
+    def counting_hnf(rows, n, d, real=intmat._hermite_mod):
+        calls.append((HNF, len(rows), n))
+        return real(rows, n, d)
+
+    patches = {
+        "snf": (real, counting),
+        "_rank_mod": (intmat._rank_mod, counting_mod),
+        "_det_minor": (intmat._det_minor, counting_det),
+        "_hermite_mod": (intmat._hermite_mod, counting_hnf),
+    }
     for name, module in list(sys.modules.items()):
-        in_package = name == "spherical_pi" or name.startswith("spherical_pi.")
-        if in_package and getattr(module, "snf", None) is real:
-            monkeypatch.setattr(module, "snf", counting)
-        if in_package and getattr(module, "_rank_mod", None) is real_mod:
-            monkeypatch.setattr(module, "_rank_mod", counting_mod)
+        if name == "spherical_pi" or name.startswith("spherical_pi."):
+            for attr, (kernel, counter) in patches.items():
+                if getattr(module, attr, None) is kernel:
+                    monkeypatch.setattr(module, attr, counter)
     return calls
 
 
@@ -171,21 +190,31 @@ def snf_shapes(monkeypatch, fn, sd):
     return calls
 
 
-class TestSnfBudget:
-    @pytest.mark.parametrize(
-        "series, n, ambient", [("A", 6, (13, 1)), ("D", 5, (9, 1)), ("A", 1, (3, 1))]
-    )
-    def test_group_case_report_costs_two(self, monkeypatch, series, n, ambient):
-        # the colors' Smith form leaves one factor s > 1 (n + 1 for A_n, 4
-        # for D_5); the second form is that row stacked on the nonzero rows
-        # of E V, taken mod s in its one column
-        shapes = snf_shapes(monkeypatch, full_report, group_case(series, n))
-        assert shapes == [(n, n), ambient]
+def hermite_route(n, kept):
+    """The kernel calls of the core of a rank-n group case ``group_case``.
 
-    @pytest.mark.parametrize("series, n, ambient", [("A", 6, (13, 1)), ("D", 5, (9, 1))])
-    def test_reports_at_every_p_share_two(self, monkeypatch, series, n, ambient):
+    The determinant of a minor of the n x n colors, their Hermite basis
+    mod it, the basis of that stacked on the 2n rows of the embedding
+    [I; -I] mod its own determinant, and the Smith forms of the two bases
+    on their pivots above 1: ``kept`` of them, and none for the ambient
+    basis, which the embedding makes I.
+    """
+    return [(DET, n, n), (HNF, n, n), (HNF, 3 * n, n), (kept, kept), (0, 0)]
+
+
+class TestSnfBudget:
+    @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5), ("A", 1)])
+    def test_group_case_report_costs_two(self, monkeypatch, series, n):
+        # the colors' Hermite basis has one pivot above 1 (n + 1 for A_n, 4
+        # for D_5); the embedding [I; -I] makes the ambient basis I, which
+        # leaves the second form no pivot
+        shapes = snf_shapes(monkeypatch, full_report, group_case(series, n))
+        assert shapes == hermite_route(n, 1)
+
+    @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5)])
+    def test_reports_at_every_p_share_two(self, monkeypatch, series, n):
         # the datum and its copies at each p, a copy of a copy among them,
-        # reported in every order of p, cost the two forms of one report
+        # reported in every order of p, cost the kernels of one report
         calls = record_snf(monkeypatch)
         for order in itertools.permutations(CHARACTERISTICS):
             sd = group_case(series, n)
@@ -195,7 +224,7 @@ class TestSnfBudget:
                 current = current.with_char_exponent(p)
                 assert full_report(current).datum.char_exponent == p
             full_report(sd)
-            assert calls == [(n, n), ambient]
+            assert calls == hermite_route(n, 1)
 
     def test_a_replaced_or_rebuilt_datum_pays_its_own_two(self, monkeypatch):
         sd = group_case("A", 3)
@@ -211,7 +240,9 @@ class TestSnfBudget:
         calls.clear()
         full_report(sd)
         own_shapes = list(calls)
-        assert own_shapes == [(3, 3), (7, 1)]
+        assert own_shapes == hermite_route(3, 1)
+        # every pivot of 2C is above 1
+        assert twin_shapes == hermite_route(3, 3)
         for other, shapes in zip(others, (twin_shapes, own_shapes, own_shapes)):
             calls.clear()
             full_report(other.with_char_exponent(2))
@@ -226,13 +257,21 @@ class TestSnfBudget:
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 3)
-        # S = diag(1, 6) with a kernel column: one factor row and the 3 rows
-        # of E V on the columns of 6 and of the kernel
-        assert snf_shapes(monkeypatch, full_report, sd) == [(2, 3), (4, 2)]
+        # fewer colors than columns: no minor has a determinant, so the
+        # certified route runs.  S = diag(1, 6) with a kernel column: one
+        # factor row and the 3 rows of E V on the columns of 6 and of the
+        # kernel
+        assert snf_shapes(monkeypatch, full_report, sd) == [(DET, 2, 3), (2, 3), (4, 2)]
 
     def test_validate_costs_one(self, monkeypatch):
+        # one core, which a report then reads without a further kernel call
         twin = group_case("A", 4, factor=2)
-        assert snf_shapes(monkeypatch, validate, twin) == [(4, 4)]
+        calls = record_snf(monkeypatch)
+        outcomes = validate(twin)
+        assert calls == hermite_route(4, 4)
+        calls.clear()
+        assert full_report(twin).validation == outcomes
+        assert calls == []
 
     def test_parse_of_group_case_costs_no_snf(self, monkeypatch):
         # the pairing matrix is of finite type, so roots and coroots are
@@ -268,7 +307,7 @@ class TestSnfBudget:
     def test_catalog_run_costs_parse_plus_two_per_p(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
         calls = snf_shapes(monkeypatch, run_entry, entry)
-        assert calls == [(MOD_P, 4, 2), (2, 2), (5, 1)]
+        assert calls == [(MOD_P, 4, 2)] + hermite_route(2, 1)
 
     def test_compute_strict_costs_two_after_parse(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "doc.json"
@@ -283,7 +322,7 @@ class TestSnfBudget:
 
         monkeypatch.setattr(cli, "parse", parse_then_count)
         assert cli.main(["compute", str(path), "--strict"]) == 0
-        assert calls == [(2, 2), (5, 1)]
+        assert calls == hermite_route(2, 1)
 
 
 V_ONLY = (False, True)
@@ -299,13 +338,20 @@ class TestCertificateRequests:
         fn(arg)
         return requests
 
-    def test_report_asks_for_v_of_colors_only(self, monkeypatch):
+    def test_report_asks_for_no_certificate(self, monkeypatch):
         sd = group_case("A", 3)
-        assert self.requests(monkeypatch, full_report, sd) == [V_ONLY, NONE]
+        assert self.requests(monkeypatch, full_report, sd) == [NONE, NONE]
 
-    def test_validate_asks_for_v_only(self, monkeypatch):
+    def test_validate_asks_for_no_certificate(self, monkeypatch):
         twin = group_case("A", 4, factor=2)
-        assert self.requests(monkeypatch, validate, twin) == [V_ONLY]
+        assert self.requests(monkeypatch, validate, twin) == [NONE, NONE]
+
+    @pytest.mark.parametrize("fn", [full_report, validate])
+    def test_deficient_colors_ask_for_v_of_colors_only(self, monkeypatch, fn):
+        emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
+        colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
+        sd = SphericalDatum(torus(3), emb, colors, 1)
+        assert self.requests(monkeypatch, fn, sd) == [V_ONLY, NONE]
 
     def test_pi0_asks_for_v_of_colors_only(self, monkeypatch):
         sd = group_case("A", 3)
@@ -330,7 +376,7 @@ class TestCertificateRequests:
 
     def test_catalog_run(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
-        assert self.requests(monkeypatch, run_entry, entry) == [V_ONLY, NONE]
+        assert self.requests(monkeypatch, run_entry, entry) == [NONE, NONE]
 
 
 AMBIENT_KINDS = ("fewer", "square", "more", "none", "product", "repeats", "unimodular")
@@ -407,7 +453,8 @@ def lattice_ambient_quotient(sd):
 
 
 def second_form(monkeypatch, sd):
-    """The matrix that full_report hands to its second Smith form."""
+    """The matrix that the certified route hands to its second Smith form,
+    the one that :func:`spherical._ambient_quotient` builds."""
     seen = []
     real = spherical.snf
 
@@ -416,7 +463,7 @@ def second_form(monkeypatch, sd):
         return real(m, **kwargs)
 
     monkeypatch.setattr(spherical, "snf", recording)
-    full_report(sd)
+    ambient_saturation_quotient(sd)
     return seen[1]
 
 
@@ -477,6 +524,41 @@ class TestAmbientFromColors:
             for row in m.entries[len(factors) :]:
                 assert any(row)
                 assert all(0 <= x < s for x, s in zip(row, factors))
+
+
+class TestHermiteRouteAgainstSmith:
+    """The report read off Hermite bases against the certified Smith route."""
+
+    def test_random_data(self):
+        rng = random.Random("hermite-route")
+        routes = Counter()
+        for draw in range(280):
+            if draw % 2:
+                kind = AMBIENT_KINDS[draw // 2 % len(AMBIENT_KINDS)]
+                sd = ambient_case(rng, kind, draw % 9)
+            else:
+                sd = random_datum(rng)
+            report = full_report(sd)
+            assert report.saturation_quotient == smith_quotient(
+                snf(sd.colors, with_u=False, with_v=False)
+            ), draw
+            assert report.ambient_saturation_quotient == ambient_saturation_quotient(sd)
+            assert flagged(report.validation) == reference_outside(sd), draw
+            hermite = intmat._det_minor(sd.colors.entries, sd.rank) != 0
+            routes[hermite, bool(flagged(report.validation))] += 1
+        # both routes, with and without a failed span check
+        assert routes[True, False] >= 100 and routes[True, True] >= 30
+        assert routes[False, False] >= 50 and routes[False, True] >= 25
+
+    @pytest.mark.parametrize("series, n", [("A", 8), ("B", 4), ("D", 6), ("E", 7)])
+    def test_group_case_twins(self, series, n):
+        # colors 2C: every pivot of the basis is above 1, and the coroots
+        # that it leaves out are named as the Smith route names them
+        twin = group_case(series, n, factor=2)
+        assert intmat._det_minor(twin.colors.entries, n) == 2**n * abs(
+            det(cartan_matrix(series, n))
+        )
+        assert flagged(full_report(twin).validation) == reference_outside(twin)
 
 
 def random_unimodular(rng, n):
