@@ -7,10 +7,10 @@ transformations ``U`` and ``V`` alongside the form, which lets callers
 multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
 The pipeline asks only for what it reads.  On the Smith route of the
 report (colors without full column rank) the colors' Smith form takes
-``V`` only, because the coroot-span check and the ambient quotient (and
-so pi0) read it, and so does ``dual_saturation``.  pi1 and the reduced
-ambient form take neither certificate.  Both certificates are read only
-by the independent verification route, :mod:`spherical_pi.verify`.
+``V`` only, because the coroot-span check and the ambient quotient read
+it, and so does ``dual_saturation``.  The reduced ambient form takes
+neither certificate.  Both certificates are read only by the independent
+verification route, :mod:`spherical_pi.verify`.
 
 Colors of full column rank take no certificate at all.  ``_det_minor``
 finds the determinant D of a nonsingular square row minor by a
@@ -23,8 +23,8 @@ The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
 elimination over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P``
 is never above the rank over Q, so a full rank mod ``_P`` proves full
-rank.  Any other result falls back to the exact rank of the
-certificate-free Smith form.
+rank.  Any other result falls back to ``_det_minor``, which is exact:
+it returns 0 exactly when the rank is below the column count.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -545,9 +545,6 @@ def _full_column_rank(m: IntMatrix) -> bool:
     """Whether the columns of ``m`` are independent over Q.
 
     A full rank mod ``_P`` proves it; any other result is settled by the
-    exact rank of the certificate-free Smith form.
+    exact fraction-free elimination of :func:`_det_minor`.
     """
-    return (
-        _rank_mod(m) == m.cols
-        or snf(m, with_u=False, with_v=False).rank == m.cols
-    )
+    return _rank_mod(m) == m.cols or _det_minor(m.entries, m.cols) != 0

@@ -16,12 +16,12 @@ exponent p.  From it we compute, in the coordinates of the weight basis:
 Everything before the final p'-extraction is characteristic-free.  A
 datum and the copies :meth:`SphericalDatum.with_char_exponent` makes of
 it share that core: the two quotients and the p-free check outcomes.
-:func:`full_report` and :func:`validate` fill it on first use, and a
-report at another p only projects it.  When the colors F have full
-column rank, the core is read off Hermite bases taken modulo a
-determinant, with no certificate (see :func:`_core`); other colors take
-the Smith form of F with ``V``, which is also the route of the public
-:func:`ambient_saturation_quotient` and :func:`pi0_p_prime`.
+The first call that reads it fills it, and a report at another p only
+projects it.  When the colors F have full column rank, the core is read
+off Hermite bases taken modulo a determinant, with no certificate (see
+:func:`_core`); other colors take the Smith form of F with ``V``.  Every
+public entry point that returns a quotient, a pi or a check outcome
+projects that core.
 """
 
 from __future__ import annotations
@@ -176,19 +176,18 @@ class Report:
 
 
 def validate(sd: SphericalDatum) -> tuple[CheckOutcome, ...]:
-    """Run the input sanity checks.
+    """Run the input sanity checks: the ``validation`` of :func:`full_report`.
 
     The structural checks (embedding rank, characteristic exponent) are
     enforced at construction already and are reported as passes.  The
     substantial check is that every simple coroot, restricted to the
     weight lattice, is an integer combination of the color functionals;
     genuine homogeneous data always satisfies it, so a failure is a
-    warning, which :func:`_require_pass` turns into an error.  The p-free
-    outcomes are those of the characteristic-free core that
-    :func:`full_report` reads (and fills, when it is empty), so the two
-    cannot disagree.
+    warning, which :func:`_require_pass` turns into an error.  This
+    projects the shared core (see :func:`_core`), so the report and the
+    validation cannot disagree.
     """
-    return _core(sd)[2] + (_char_check(sd.char_exponent),)
+    return full_report(sd).validation
 
 
 def _require_pass(outcomes: tuple[CheckOutcome, ...]) -> None:
@@ -288,22 +287,12 @@ def _outside_hermite(sd: SphericalDatum, basis: list[list[int]]) -> list[int]:
     return outside
 
 
-def _char_check(p: int) -> CheckOutcome:
-    """The outcome of the characteristic-exponent check, the one that names p."""
-    return CheckOutcome(
-        "char-exponent",
-        PASS,
-        "characteristic exponent is 1 (characteristic zero)"
-        if p == 1
-        else f"characteristic exponent {p} is prime",
-    )
-
-
 def color_saturation(sd: SphericalDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:
     """Fractional weights on which every color functional is integral.
 
     Returned in weight-basis coordinates; the quotient is taken over the
-    weight lattice itself.
+    weight lattice itself.  This is the ``Fraction``-basis verification
+    route: no report runs it.
     """
     return dual_saturation(sd.rank, sd.colors)
 
@@ -317,7 +306,8 @@ def ambient_color_saturation(
     lattice exactly when its ambient coordinates E x are integral, so the
     intersection is the saturation for the stacked functional matrix
     [colors; embedding].  The embedding has full column rank, hence the
-    quotient over the weight lattice is always finite.
+    quotient over the weight lattice is always finite.  This is the
+    ``Fraction``-basis verification route: no report runs it.
     """
     return dual_saturation(sd.rank, stack_rows(sd.colors, sd.lattice_embedding))
 
@@ -360,10 +350,10 @@ def _ambient_quotient(sd: SphericalDatum, colors_snf: SnfResult) -> FinGenAbQuot
 def ambient_saturation_quotient(sd: SphericalDatum) -> FinGenAbQuotient:
     """Quotient of the ambient saturation by the weight lattice.
 
-    Costs the Smith form of the colors with ``V`` and a certificate-free
-    one of the small matrix :func:`_ambient_quotient` builds from it.
+    It projects the shared core (see :func:`_core`), which it fills when
+    it is empty.
     """
-    return _ambient_quotient(sd, snf(sd.colors, with_u=False))
+    return _core(sd)[1]
 
 
 def _p_prime_pi(q: FinGenAbQuotient, p: int) -> PiResult:
@@ -375,11 +365,11 @@ def pi0_p_prime(sd: SphericalDatum) -> PiResult:
     """Prime-to-p part of the component group of the isotropy subgroup.
 
     This is the p'-part of the finite quotient of the ambient saturation
-    by the weight lattice, read off the colors' Smith form as in
-    :func:`ambient_saturation_quotient`; the p-part of pi0 is not
-    determined by the datum.
+    by the weight lattice, the ``pi0`` of :func:`full_report`, which
+    projects the shared core; the p-part of pi0 is not determined by the
+    datum.
     """
-    return _p_prime_pi(ambient_saturation_quotient(sd), sd.char_exponent)
+    return full_report(sd).pi0
 
 
 def pi1_p_prime(sd: SphericalDatum) -> PiResult:
@@ -387,10 +377,10 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
 
     Finite invariant factors of the color saturation quotient contribute
     their p'-parts; every divisible direction contributes one profinite
-    prime-to-p factor.
+    prime-to-p factor.  This is the ``pi1`` of :func:`full_report`, which
+    projects the shared core.
     """
-    colors_snf = snf(sd.colors, with_u=False, with_v=False)
-    return _p_prime_pi(smith_quotient(colors_snf), sd.char_exponent)
+    return full_report(sd).pi1
 
 
 def _hermite_quotient(basis: list[list[int]]) -> FinGenAbQuotient:
@@ -456,18 +446,25 @@ def full_report(sd: SphericalDatum) -> Report:
     p'-parts of the two quotients.  A failed coroot-span check is a
     warning in ``validation``.
 
-    The core is computed once, on the first report or validation of
-    ``sd`` or of a datum it shares its core with (see
-    :meth:`SphericalDatum.with_char_exponent`); later reports only project
+    The core is computed once, by the first call of any public entry point
+    on ``sd`` or on a datum it shares its core with (see
+    :meth:`SphericalDatum.with_char_exponent`); later calls only project
     it to their own p.
     """
     sat_q, amb_q, outcomes = _core(sd)
     p = sd.char_exponent
+    char_check = CheckOutcome(
+        "char-exponent",
+        PASS,
+        "characteristic exponent is 1 (characteristic zero)"
+        if p == 1
+        else f"characteristic exponent {p} is prime",
+    )
     return Report(
         datum=sd,
         saturation_quotient=sat_q,
         ambient_saturation_quotient=amb_q,
         pi0=_p_prime_pi(amb_q, p),
         pi1=_p_prime_pi(sat_q, p),
-        validation=outcomes + (_char_check(p),),
+        validation=outcomes + (char_check,),
     )

@@ -1,5 +1,6 @@
 """Document format, report rendering, catalog, and the CLI surface."""
 
+import dataclasses
 import json
 import math
 import os
@@ -347,6 +348,24 @@ class TestParse:
         assert time.perf_counter() - start < 2.0
         assert sd.rank == sd.ambient_rank == 64
 
+    def test_a_dense_deficient_embedding_fails_in_bounded_time(self):
+        # rank 32 with random 255-bit entries and a last column that is the
+        # difference of the first two: deficient mod 2**61 - 1 as well, so
+        # the exact fallback decides; its Smith form took about 2 s
+        rng = random.Random(32)
+        top = 2 ** (MAX_ENTRY_BITS - 1) - 1
+        lattice = [[rng.randint(-top, top) for _ in range(31)] for _ in range(32)]
+        for row in lattice:
+            row.append(row[0] - row[1])
+        explicit = {"rank": 32, "simple_roots": [], "simple_coroots": []}
+        text = doc_text(
+            root_datum={"explicit": explicit}, lattice=lattice, colors=[[1] * 32]
+        )
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="rank-deficient"):
+            parse(text)
+        assert time.perf_counter() - start < 1.5
+
     def test_a_dense_full_rank_colors_matrix_reports_in_bounded_time(self):
         # rank 24 with random 256-bit colors and lattice I: the index of the
         # colors' lattice is about |det|, so the Hermite basis is taken mod
@@ -595,7 +614,14 @@ class TestCli:
 
     def test_oracle_reports_a_mismatch(self, tmp_path, capsys, monkeypatch):
         path = self.write(tmp_path, catalog_entry("sl2_mod_normalizer").document)
-        monkeypatch.setattr(cli, "smith_quotient", lambda res: FinGenAbQuotient(0, (3,)))
+        real_report = cli.full_report
+        monkeypatch.setattr(
+            cli,
+            "full_report",
+            lambda sd: dataclasses.replace(
+                real_report(sd), saturation_quotient=FinGenAbQuotient(0, (3,))
+            ),
+        )
         assert main(["oracle", path, "--torsion", "2"]) == 1
         out = capsys.readouterr().out
         assert out.endswith(

@@ -263,6 +263,24 @@ class TestSnfBudget:
         # kernel
         assert snf_shapes(monkeypatch, full_report, sd) == [(DET, 2, 3), (2, 3), (4, 2)]
 
+    def test_every_entry_point_reads_one_core(self, monkeypatch):
+        # the public entry points, called in any order on a datum and its
+        # copies at other p, cost the kernels of one report between them
+        fns = (
+            pi0_p_prime,
+            pi1_p_prime,
+            ambient_saturation_quotient,
+            validate,
+            full_report,
+        )
+        calls = record_snf(monkeypatch)
+        for order in itertools.permutations(fns):
+            sd = group_case("A", 6)
+            calls.clear()
+            for fn, p in zip(order, itertools.cycle(CHARACTERISTICS)):
+                fn(sd.with_char_exponent(p))
+            assert calls == hermite_route(6, 1), [fn.__name__ for fn in order]
+
     def test_validate_costs_one(self, monkeypatch):
         # one core, which a report then reads without a further kernel call
         twin = group_case("A", 4, factor=2)
@@ -353,13 +371,13 @@ class TestCertificateRequests:
         sd = SphericalDatum(torus(3), emb, colors, 1)
         assert self.requests(monkeypatch, fn, sd) == [V_ONLY, NONE]
 
-    def test_pi0_asks_for_v_of_colors_only(self, monkeypatch):
+    def test_pi0_asks_for_no_certificate(self, monkeypatch):
         sd = group_case("A", 3)
-        assert self.requests(monkeypatch, pi0_p_prime, sd) == [V_ONLY, NONE]
+        assert self.requests(monkeypatch, pi0_p_prime, sd) == [NONE, NONE]
 
     def test_pi1_asks_for_no_certificate(self, monkeypatch):
         sd = group_case("A", 3)
-        assert self.requests(monkeypatch, pi1_p_prime, sd) == [NONE]
+        assert self.requests(monkeypatch, pi1_p_prime, sd) == [NONE, NONE]
 
     def test_parse_asks_for_no_certificate(self, monkeypatch):
         doc = catalog_entry("group_case_A2_adjoint").document
@@ -371,8 +389,8 @@ class TestCertificateRequests:
         requests = []
         record_snf(monkeypatch, requests)
         assert cli.main(["oracle", str(path), "--torsion", "3"]) == 0
-        # parse asks for none, then the quotient of the colors
-        assert requests == [NONE]
+        # parse asks for none, then the report's core for its color quotient
+        assert requests == [NONE, NONE]
 
     def test_catalog_run(self, monkeypatch):
         entry = catalog_entry("group_case_A2_adjoint")
@@ -454,7 +472,10 @@ def lattice_ambient_quotient(sd):
 
 def second_form(monkeypatch, sd):
     """The matrix that the certified route hands to its second Smith form,
-    the one that :func:`spherical._ambient_quotient` builds."""
+    the one that :func:`spherical._ambient_quotient` builds.
+
+    The route is run directly, so it is taken for colors of any shape."""
+    colors_snf = snf(sd.colors, with_u=False)
     seen = []
     real = spherical.snf
 
@@ -463,8 +484,9 @@ def second_form(monkeypatch, sd):
         return real(m, **kwargs)
 
     monkeypatch.setattr(spherical, "snf", recording)
-    ambient_saturation_quotient(sd)
-    return seen[1]
+    spherical._ambient_quotient(sd, colors_snf)
+    (m,) = seen
+    return m
 
 
 class TestAmbientFromColors:
@@ -480,9 +502,8 @@ class TestAmbientFromColors:
             got = ambient_saturation_quotient(sd)
             assert got == direct_ambient_quotient(sd), (draw, sd.label)
             assert got == lattice_ambient_quotient(sd), (draw, sd.label)
-            if draw % 5 == 0:
-                assert full_report(sd).ambient_saturation_quotient == got
-                assert pi0_p_prime(sd).invariant_factors == got.invariant_factors
+            smith_route = spherical._ambient_quotient(sd, snf(sd.colors, with_u=False))
+            assert smith_route == got, (draw, sd.label)
             seen[kind].add((sd.rank, sd.color_count))
             nontrivial += not got.is_trivial
         ranks = {r for shapes in seen.values() for r, _ in shapes}
@@ -542,7 +563,8 @@ class TestHermiteRouteAgainstSmith:
             assert report.saturation_quotient == smith_quotient(
                 snf(sd.colors, with_u=False, with_v=False)
             ), draw
-            assert report.ambient_saturation_quotient == ambient_saturation_quotient(sd)
+            want = direct_ambient_quotient(sd)
+            assert report.ambient_saturation_quotient == want, draw
             assert flagged(report.validation) == reference_outside(sd), draw
             hermite = intmat._det_minor(sd.colors.entries, sd.rank) != 0
             routes[hermite, bool(flagged(report.validation))] += 1
