@@ -44,6 +44,28 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _prime_powers(n: int) -> list[int]:
+    """The prime powers q exactly dividing n >= 1 (q || n), by ascending prime.
+
+    Trial division up to sqrt(n); their product is n, so 1 has none.
+    """
+    if n < 1:
+        raise ValueError(f"expected a positive integer, got {n}")
+    parts: list[int] = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            parts.append(q)
+        p += 1
+    if n > 1:
+        parts.append(n)
+    return parts
+
+
 def _check_count(n: object, name: str) -> None:
     """Raise unless n is a nonnegative int (a bool is not)."""
     if not isinstance(n, int) or isinstance(n, bool):

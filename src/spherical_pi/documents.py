@@ -218,7 +218,7 @@ def document_dict(sd: SphericalDatum) -> dict:
                 "simple_coroots": [list(v) for v in rd.simple_coroots],
             }
         },
-        "lattice": [list(sd.lattice_embedding.column(j)) for j in range(sd.rank)],
+        "lattice": [list(col) for col in sd.lattice_embedding.transpose().entries],
         "colors": [list(row) for row in sd.colors.entries],
     }
 

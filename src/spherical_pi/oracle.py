@@ -3,10 +3,15 @@
 Independent of the normal-form pipeline: the N-torsion of a saturation
 quotient is enumerated exhaustively in (1/N)Z^r / Z^r and compared,
 order histogram against order histogram, with the prediction coming out
-of the invariant factors.  The search meets in the middle, so it touches
-N^floor(r/2) + N^ceil(r/2) points; ``ENUMERATION_BUDGET`` bounds the
-grid N^r, and so the element list, which is the whole grid when there
-are no functionals.  Order histograms determine finite abelian groups of
+of the invariant factors.  The search meets in the middle once per prime
+power q || N, so it touches the sum over q of q^floor(r/2) + q^ceil(r/2)
+points, and the order histogram is the convolution of those of the
+q-torsions.  The elements are the q-torsion itself when N is a prime
+power; otherwise they are the q-torsions combined by CRT and sorted,
+unless their number exceeds N^floor(r/2) + N^ceil(r/2), when one search
+at N lists them instead.  ``ENUMERATION_BUDGET`` bounds the grid N^r,
+and so the element list, which is the whole grid when there are no
+functionals.  Order histograms determine finite abelian groups of
 exponent dividing N up to isomorphism, so a histogram match is an
 isomorphism check without constructing the isomorphism.
 """
@@ -16,8 +21,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import add
 
-from .arith import divisors
+from .arith import _prime_powers, divisors
 from .intmat import IntMatrix
 from .lattices import FinGenAbQuotient
 
@@ -59,35 +65,32 @@ def _check_modulus(modulus: object) -> None:
         )
 
 
-def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSample:
-    """All x in (1/modulus)Z^r / Z^r with every functional integral on x.
+def _walk(functionals: IntMatrix, modulus: int) -> list[tuple[int, ...]]:
+    """Every a in [0, modulus)^r with F a = 0 mod modulus, lexicographically.
 
     Meets in the middle: every numerator vector is a = (prefix, suffix),
     split after the first h = r // 2 columns, and F a = 0 mod modulus
     exactly when the residue of the suffix is the negative of the residue
-    of the prefix.  The suffixes are walked once and filed by residue,
-    then each prefix picks out its partners, so the walk touches
-    ``modulus**h + modulus**(r - h)`` points and no Smith form is used.
-    ``ENUMERATION_BUDGET`` still bounds the whole grid ``modulus**r``,
-    since with no functionals every grid point is an element.
+    of the prefix.  The suffixes are walked once and filed by the negative
+    of their residue, then each prefix picks out its partners, so the walk
+    touches ``modulus**h + modulus**(r - h)`` points and no Smith form is
+    used.
     """
-    _check_modulus(modulus)
     r = functionals.cols
     m = functionals.rows
-    if modulus**r > ENUMERATION_BUDGET:
-        raise EnumerationBudgetError(
-            f"{modulus}^{r} grid points exceed the enumeration budget "
-            f"of {ENUMERATION_BUDGET}"
-        )
+    if r == 0:  # one point, and no table of 2 * modulus entries to build
+        return [()]
     cols = [
         tuple(functionals[i][j] % modulus for i in range(m)) for j in range(r)
     ]
+    # wrap[s] is s % modulus for a sum s of two residues
+    wrap = list(range(modulus)) * 2
 
     def partial_sums(
         block: list[tuple[int, ...]],
     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         # every numerator vector over the block's columns, in lexicographic
-        # order, with its residue F a mod modulus
+        # order, with its residue mod modulus
         sums = [((), (0,) * m)]
         for col in block:
             extended = []
@@ -95,22 +98,86 @@ def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSampl
                 cur = acc
                 for a in range(modulus):
                     extended.append((head + (a,), cur))
-                    cur = tuple((x + y) % modulus for x, y in zip(cur, col))
+                    cur = tuple(map(wrap.__getitem__, map(add, cur, col)))
             sums = extended
         return sums
 
     h = r // 2
+    negated = [tuple(-x % modulus for x in col) for col in cols[h:]]
     suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for suffix, residue in partial_sums(cols[h:]):
+    for suffix, residue in partial_sums(negated):
         suffixes.setdefault(residue, []).append(suffix)
     elements: list[tuple[int, ...]] = []
     for prefix, residue in partial_sums(cols[:h]):
-        partners = suffixes.get(tuple(-x % modulus for x in residue), ())
-        elements.extend(prefix + suffix for suffix in partners)
-    histogram = Counter(
-        modulus // gcd(modulus, *e) if e else 1 for e in elements
-    )
-    return TorsionGroupSample(modulus, tuple(elements), dict(histogram))
+        elements.extend(prefix + suffix for suffix in suffixes.get(residue, ()))
+    return elements
+
+
+def _crt_combine(
+    parts: list[int], walks: list[list[tuple[int, ...]]], modulus: int, r: int
+) -> list[tuple[int, ...]]:
+    """Every sum of e_q c_q mod modulus over one c_q from each walk, sorted.
+
+    e_q is the idempotent that is 1 mod q and 0 mod modulus / q, so the
+    sum is the one vector mod modulus that is c_q mod q for every q.
+    """
+    combined = [(0,) * r]
+    for q, walk in zip(parts, walks):
+        rest = modulus // q
+        e = rest * pow(rest, -1, q) % modulus
+        scaled = [tuple(e * x % modulus for x in c) for c in walk]
+        combined = [
+            tuple((x + y) % modulus for x, y in zip(a, b))
+            for a in combined
+            for b in scaled
+        ]
+    combined.sort()
+    return combined
+
+
+def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSample:
+    """All x in (1/modulus)Z^r / Z^r with every functional integral on x.
+
+    By CRT the group is the product of its q-torsions over the prime
+    powers q || modulus, and the order of an element is the product of the
+    orders of its parts.  So the walk of :func:`_walk` runs once per q,
+    touching the sum over q || modulus of ``q**h + q**(r - h)`` points
+    (h = r // 2), and the order histogram is the convolution of the
+    histograms of the parts.  The elements are the walk's own for a prime
+    power; for several q they are the parts combined by CRT and sorted
+    once, unless that list would be larger than a walk at the full
+    modulus, which then lists them in order and computes no orders.  No
+    Smith form is used.  ``ENUMERATION_BUDGET`` still bounds the whole
+    grid ``modulus**r``, since with no functionals every grid point is an
+    element.
+    """
+    _check_modulus(modulus)
+    r = functionals.cols
+    if modulus**r > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"{modulus}^{r} grid points exceed the enumeration budget "
+            f"of {ENUMERATION_BUDGET}"
+        )
+    parts = _prime_powers(modulus)
+    walks = [_walk(functionals, q) for q in parts]
+    histogram = {1: 1}
+    for q, walk in zip(parts, walks):
+        # orders from different parts are coprime, so each product e1 * e2
+        # comes from one pair of orders
+        part = Counter(q // gcd(q, *c) for c in walk)
+        histogram = {
+            e1 * e2: c1 * c2
+            for e1, c1 in histogram.items()
+            for e2, c2 in part.items()
+        }
+    h = r // 2
+    if len(walks) == 1:
+        elements = walks[0]
+    elif prod(map(len, walks)) <= modulus**h + modulus ** (r - h):
+        elements = _crt_combine(parts, walks, modulus, r)
+    else:
+        elements = _walk(functionals, modulus)
+    return TorsionGroupSample(modulus, tuple(elements), histogram)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,8 @@ def _outside_hermite(sd: SphericalDatum, basis: list[list[int]]) -> list[int]:
     where column k of W is e_k less the entries of column k of H in the
     rows outside K; it is then divided down the rows K of H.
     """
+    if not sd.root_datum.simple_coroots:  # a torus: nothing to divide
+        return []
     kept = [j for j, row in enumerate(basis) if row[j] > 1]
     w = IntMatrix._trusted(
         sd.rank,

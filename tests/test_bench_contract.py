@@ -4,10 +4,14 @@ Runs ``bench/selftest.py``, then, untraced, each workload's op, its check
 and the per-layer probe on the items of rank at most 10 in input set 0.
 A change that drops or renames a name the benchmark uses fails here
 rather than only in the benchmark.  Nothing under ``bench/`` is written.
+Last, every workload loop of the CI workflow must name exactly the
+workloads of ``BENCHMARK.json``.
 """
 
 import importlib
+import json
 import os
+import re
 import subprocess
 import sys
 
@@ -58,3 +62,14 @@ def test_workloads_on_small_items(bench):
             assert workload.check(case, out) == [], workload.name
             problems, _ = workloads.probe(spherical_pi, case, spans.no_span, set())
             assert problems == [], workload.name
+
+
+def test_ci_loops_run_every_workload():
+    # a workload added to or renamed in BENCHMARK.json cannot drop out of CI
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        names = sorted(w["name"] for w in json.load(f)["workloads"])
+    with open(os.path.join(ROOT, ".github", "workflows", "tests.yml")) as f:
+        loops = re.findall(r"for workload in ([^;\n]*); do", f.read())
+    assert loops, "the workflow has no workload loop"
+    for loop in loops:
+        assert sorted(loop.split()) == names, loop

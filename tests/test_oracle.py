@@ -3,10 +3,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations, product
+from math import gcd, lcm, prod
 
 import pytest
 
+from spherical_pi import oracle
+from spherical_pi.arith import _prime_powers, divisors
 from spherical_pi.catalog import catalog
 from spherical_pi.documents import parse
 from spherical_pi.intmat import IntMatrix, stack_rows
@@ -147,6 +150,101 @@ class TestMeetInTheMiddle:
         sample = enumerate_torsion(mat([[7] * r, [-3] * r], cols=r), 1)
         assert sample.elements == ((0,) * r,)
         assert sample.order_histogram == {1: 1}
+
+
+def smallest_factor(q):
+    return next(d for d in range(2, q + 1) if q % d == 0)
+
+
+def test_prime_powers_against_brute_force():
+    assert _prime_powers(1) == []
+    for n in range(2, 5001):
+        parts = _prime_powers(n)
+        assert prod(parts) == n, n
+        primes = [smallest_factor(q) for q in parts]
+        # each part is a power of its smallest prime, by ascending prime
+        for p, q in zip(primes, parts):
+            while q % p == 0:
+                q //= p
+            assert q == 1, (n, parts)
+        assert primes == sorted(set(primes)), (n, parts)
+        assert all(gcd(a, b) == 1 for a, b in combinations(parts, 2)), (n, parts)
+    with pytest.raises(ValueError):
+        _prime_powers(0)
+
+
+SPLIT_MODULI = (10, 12, 15, 18, 20, 30, 36, 60)
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The moduli that enumerate_torsion walks at, in order."""
+    moduli = []
+    walk = oracle._walk
+
+    def recording(functionals, modulus):
+        moduli.append(modulus)
+        return walk(functionals, modulus)
+
+    monkeypatch.setattr(oracle, "_walk", recording)
+    return moduli
+
+
+class TestSplitByPrimePowers:
+    def test_matches_full_grid_walk(self, walked):
+        rng = random.Random(20261019)
+        paths = Counter()
+        for modulus in SPLIT_MODULI:
+            parts = _prime_powers(modulus)
+            for r in range(0, 6):
+                if modulus**r > 20000:
+                    continue
+                for m, scale in product(range(0, 5), divisors(modulus)):
+                    # scaling F by a divisor of the modulus enlarges the group
+                    f = mat([[scale * x for x in row] for row in
+                             random_functionals(rng, r, m, modulus).entries], cols=r)
+                    walked.clear()
+                    sample = enumerate_torsion(f, modulus)
+                    elements, histogram = full_grid_walk(f, modulus)
+                    assert sample.elements == elements, (f.entries, modulus)
+                    assert sample.order_histogram == histogram, (f.entries, modulus)
+                    h = r // 2
+                    if len(elements) <= modulus**h + modulus ** (r - h):
+                        assert walked == parts, (f.entries, modulus)
+                        paths["combine"] += 1
+                    else:
+                        assert walked == parts + [modulus], (f.entries, modulus)
+                        paths["walk at N"] += 1
+        assert paths["combine"] >= 50 and paths["walk at N"] >= 20, paths
+
+    @pytest.mark.parametrize("modulus", SPLIT_MODULI)
+    def test_no_functionals_walk_at_the_modulus(self, walked, modulus):
+        r = 2
+        sample = enumerate_torsion(mat([], cols=r), modulus)
+        assert walked == _prime_powers(modulus) + [modulus]
+        assert (sample.elements, sample.order_histogram) == full_grid_walk(
+            mat([], cols=r), modulus
+        )
+
+    @pytest.mark.parametrize("modulus", SPLIT_MODULI)
+    def test_a_small_group_is_combined(self, walked, modulus):
+        # the N-torsion of Z/2 x Z/3
+        f = mat([[2, 0], [0, 3]])
+        sample = enumerate_torsion(f, modulus)
+        assert walked == _prime_powers(modulus)
+        assert (sample.elements, sample.order_histogram) == full_grid_walk(
+            f, modulus
+        )
+
+    @pytest.mark.parametrize("modulus", [1, 2, 8, 9, 25, 27])
+    def test_a_prime_power_is_its_own_walk(self, walked, modulus):
+        # modulus 1 has no prime power and needs no walk
+        f = mat([[2, 4, 6]])
+        sample = enumerate_torsion(f, modulus)
+        assert walked == _prime_powers(modulus)
+        assert (sample.elements, sample.order_histogram) == full_grid_walk(
+            f, modulus
+        )
 
 
 def block_diagonal(a, b):
