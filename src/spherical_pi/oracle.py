@@ -6,20 +6,25 @@ order histogram against order histogram, with the prediction coming out
 of the invariant factors.  The search meets in the middle once per prime
 power q || N, so it touches the sum over q of q^floor(r/2) + q^ceil(r/2)
 points, and the order histogram is the convolution of those of the
-q-torsions.  The elements are the q-torsion itself when N is a prime
-power; otherwise they are the q-torsions combined by CRT and sorted,
-unless their number exceeds N^floor(r/2) + N^ceil(r/2), when one search
-at N lists them instead.  ``ENUMERATION_BUDGET`` bounds the grid N^r,
-and so the element list, which is the whole grid when there are no
-functionals.  Order histograms determine finite abelian groups of
-exponent dividing N up to isomorphism, so a histogram match is an
-isomorphism check without constructing the isomorphism.
+q-torsions.  Each point's residue F a mod q is one int, the residues of
+the rows packed side by side, and adding a column to it is one add and a
+carry-free wrap of every field at once.  At rank 1 nothing is walked:
+the q-torsion is the multiples of q / gcd(q, f_1, ..., f_m).  The
+elements are the q-torsion itself when N is a prime power; otherwise
+they are the q-torsions combined by CRT and sorted, unless twice their
+number exceeds N^floor(r/2) + N^ceil(r/2), when one search at N lists
+them instead.  ``ENUMERATION_BUDGET`` bounds the grid N^r, and so the
+element list, which is the whole grid when there are no functionals.
+Order histograms determine finite abelian groups of exponent dividing N
+up to isomorphism, so a histogram match is an isomorphism check without
+constructing the isomorphism.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import gcd, prod
 from operator import add
 
@@ -68,48 +73,77 @@ def _check_modulus(modulus: object) -> None:
 def _walk(functionals: IntMatrix, modulus: int) -> list[tuple[int, ...]]:
     """Every a in [0, modulus)^r with F a = 0 mod modulus, lexicographically.
 
-    Meets in the middle: every numerator vector is a = (prefix, suffix),
-    split after the first h = r // 2 columns, and F a = 0 mod modulus
-    exactly when the residue of the suffix is the negative of the residue
-    of the prefix.  The suffixes are walked once and filed by the negative
-    of their residue, then each prefix picks out its partners, so the walk
-    touches ``modulus**h + modulus**(r - h)`` points and no Smith form is
-    used.
+    At rank 1 the answer is closed: a is a solution exactly when it is a
+    multiple of modulus / gcd(modulus, f_1, ..., f_m), so nothing is
+    walked.  Otherwise the walk meets in the middle: every numerator
+    vector is a = (prefix, suffix), split after the first h = r // 2
+    columns, and F a = 0 mod modulus exactly when the residue of the
+    suffix is the negative of the residue of the prefix.  The prefixes are
+    walked first, then the suffixes, each filed by the negative of its
+    residue when some prefix has that residue, and each prefix picks out
+    its partners.  So the walk touches ``modulus**h + modulus**(r - h)``
+    points and no Smith form is used.
+
+    A residue F a mod modulus is kept packed in one int, entry i in the
+    field of w = modulus.bit_length() + 1 bits at bit i * w.  A sum of two
+    residues is below 2 * modulus < 2**w, so adding a packed column never
+    carries between fields.  It is wrapped back below the modulus in all
+    fields at once (SIMD within a register; Lamport, *Multiple byte
+    processing with full-word instructions*, CACM 18(8), 1975): adding
+    2**(w-1) - modulus to every field sets a field's top bit exactly when
+    its sum reached the modulus, and the modulus is subtracted from those
+    fields.  Rows that vanish mod the modulus take no field, and with none
+    left every point is a solution.
     """
     r = functionals.cols
-    m = functionals.rows
-    if r == 0:  # one point, and no table of 2 * modulus entries to build
+    if r == 0:
         return [()]
-    cols = [
-        tuple(functionals[i][j] % modulus for i in range(m)) for j in range(r)
-    ]
-    # wrap[s] is s % modulus for a sum s of two residues
-    wrap = list(range(modulus)) * 2
+    if r == 1:
+        step = modulus // gcd(modulus, *functionals.column(0))
+        return [(a,) for a in range(0, modulus, step)]
+    rows = [row for row in functionals.entries if any(x % modulus for x in row)]
+    if not rows:
+        return list(product(range(modulus), repeat=r))
+    w = modulus.bit_length() + 1
+    shift = w - 1
+    high = sum(1 << (i * w + shift) for i in range(len(rows)))
+    offset = high - (high >> shift) * modulus  # 2**(w-1) - modulus per field
 
-    def partial_sums(
-        block: list[tuple[int, ...]],
-    ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        # every numerator vector over the block's columns, in lexicographic
-        # order, with its residue mod modulus
-        sums = [((), (0,) * m)]
+    def column(j: int, sign: int) -> int:
+        return sum(
+            (sign * row[j] % modulus) << (i * w) for i, row in enumerate(rows)
+        )
+
+    def residues(block: list[int]) -> list[int]:
+        # the packed residue of every numerator vector over the block's
+        # columns, in the lexicographic order of itertools.product
+        sums = [0]
         for col in block:
             extended = []
-            for head, acc in sums:
-                cur = acc
-                for a in range(modulus):
-                    extended.append((head + (a,), cur))
-                    cur = tuple(map(wrap.__getitem__, map(add, cur, col)))
+            for cur in sums:
+                for _ in range(modulus):
+                    extended.append(cur)
+                    cur += col
+                    cur -= (((cur + offset) & high) >> shift) * modulus
             sums = extended
         return sums
 
     h = r // 2
-    negated = [tuple(-x % modulus for x in col) for col in cols[h:]]
-    suffixes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for suffix, residue in partial_sums(negated):
-        suffixes.setdefault(residue, []).append(suffix)
+    heads = residues([column(j, 1) for j in range(h)])
+    # the suffixes of each prefix residue; a suffix no prefix needs is dropped
+    partners: dict[int, list[tuple[int, ...]]] = {residue: [] for residue in heads}
+    negated = [column(j, -1) for j in range(h, r)]
+    for suffix, residue in zip(
+        product(range(modulus), repeat=r - h), residues(negated)
+    ):
+        bucket = partners.get(residue)
+        if bucket is not None:
+            bucket.append(suffix)
     elements: list[tuple[int, ...]] = []
-    for prefix, residue in partial_sums(cols[:h]):
-        elements.extend(prefix + suffix for suffix in suffixes.get(residue, ()))
+    for prefix, residue in zip(product(range(modulus), repeat=h), heads):
+        bucket = partners[residue]
+        if bucket:
+            elements.extend(map(prefix.__add__, bucket))
     return elements
 
 
@@ -119,17 +153,19 @@ def _crt_combine(
     """Every sum of e_q c_q mod modulus over one c_q from each walk, sorted.
 
     e_q is the idempotent that is 1 mod q and 0 mod modulus / q, so the
-    sum is the one vector mod modulus that is c_q mod q for every q.
+    sum is the one vector mod modulus that is c_q mod q for every q.  A
+    combined element costs about as much as two points of the packed walk
+    of :func:`_walk`, so :func:`enumerate_torsion` combines only when twice
+    the number of elements is at most the points of a walk at the modulus.
     """
+    reduce = modulus.__rmod__
     combined = [(0,) * r]
     for q, walk in zip(parts, walks):
         rest = modulus // q
         e = rest * pow(rest, -1, q) % modulus
-        scaled = [tuple(e * x % modulus for x in c) for c in walk]
+        scaled = [tuple(map(reduce, map(e.__mul__, c))) for c in walk]
         combined = [
-            tuple((x + y) % modulus for x, y in zip(a, b))
-            for a in combined
-            for b in scaled
+            tuple(map(reduce, map(add, a, b))) for a in combined for b in scaled
         ]
     combined.sort()
     return combined
@@ -142,11 +178,13 @@ def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSampl
     powers q || modulus, and the order of an element is the product of the
     orders of its parts.  So the walk of :func:`_walk` runs once per q,
     touching the sum over q || modulus of ``q**h + q**(r - h)`` points
-    (h = r // 2), and the order histogram is the convolution of the
-    histograms of the parts.  The elements are the walk's own for a prime
-    power; for several q they are the parts combined by CRT and sorted
-    once, unless that list would be larger than a walk at the full
-    modulus, which then lists them in order and computes no orders.  No
+    (h = r // 2), or none at rank 1, and the order histogram is the
+    convolution of the histograms of the parts.  The elements are the
+    walk's own for a prime power.  For several q they are the parts
+    combined by CRT and sorted once, when ``2 * prod |S_q|`` is at most the
+    ``modulus**h + modulus**(r - h)`` points of a walk at the full
+    modulus: a combined element costs about two points of the packed walk.
+    Otherwise that walk lists them in order and computes no orders.  No
     Smith form is used.  ``ENUMERATION_BUDGET`` still bounds the whole
     grid ``modulus**r``, since with no functionals every grid point is an
     element.
@@ -173,7 +211,7 @@ def enumerate_torsion(functionals: IntMatrix, modulus: int) -> TorsionGroupSampl
     h = r // 2
     if len(walks) == 1:
         elements = walks[0]
-    elif prod(map(len, walks)) <= modulus**h + modulus ** (r - h):
+    elif 2 * prod(map(len, walks)) <= modulus**h + modulus ** (r - h):
         elements = _crt_combine(parts, walks, modulus, r)
     else:
         elements = _walk(functionals, modulus)

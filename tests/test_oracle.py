@@ -1,6 +1,8 @@
 """Brute-force torsion enumeration and structure comparison."""
 
+import hashlib
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -209,7 +211,7 @@ class TestSplitByPrimePowers:
                     assert sample.elements == elements, (f.entries, modulus)
                     assert sample.order_histogram == histogram, (f.entries, modulus)
                     h = r // 2
-                    if len(elements) <= modulus**h + modulus ** (r - h):
+                    if 2 * len(elements) <= modulus**h + modulus ** (r - h):
                         assert walked == parts, (f.entries, modulus)
                         paths["combine"] += 1
                     else:
@@ -245,6 +247,85 @@ class TestSplitByPrimePowers:
         assert (sample.elements, sample.order_histogram) == full_grid_walk(
             f, modulus
         )
+
+
+# moduli around each change of bit length, where the packed walk's
+# fields change width
+FIELD_WIDTH_MODULI = (
+    tuple(range(2, 10)) + (15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128, 129)
+)
+
+
+class TestPackedWalk:
+    def test_field_widths(self):
+        rng = random.Random(20261022)
+        for modulus in FIELD_WIDTH_MODULI:
+            top = max(r for r in range(2, 15) if modulus**r <= 20000)
+            for m in range(0, 9):
+                r = rng.randint(2, top)
+                f = random_functionals(rng, r, m, 3 * modulus)
+                elements, histogram = full_grid_walk(f, modulus)
+                assert oracle._walk(f, modulus) == list(elements), (f.entries, modulus)
+                sample = enumerate_torsion(f, modulus)
+                assert sample.elements == elements, (f.entries, modulus)
+                assert sample.order_histogram == histogram, (f.entries, modulus)
+
+    def test_rank_one_against_full_grid_walk(self):
+        rng = random.Random(20261023)
+        for modulus in range(1, 65):
+            for m in range(0, 5):
+                # a common divisor of the row and the modulus enlarges the group
+                scale = rng.choice(divisors(modulus))
+                f = mat([[scale * rng.randint(-3 * modulus, 3 * modulus)]
+                         for _ in range(m)], cols=1)
+                sample = enumerate_torsion(f, modulus)
+                assert (sample.elements, sample.order_histogram) == full_grid_walk(
+                    f, modulus
+                ), (f.entries, modulus)
+
+    def test_rank_one_at_the_largest_prime_in_the_budget(self):
+        modulus = 9999991
+        assert _prime_powers(modulus) == [modulus] and modulus < ENUMERATION_BUDGET
+        start = time.perf_counter()
+        sample = enumerate_torsion(mat([[1]]), modulus)
+        assert time.perf_counter() - start < 1.0
+        assert sample.elements == ((0,),)
+        assert sample.order_histogram == {1: 1}
+
+
+def pinned_cases():
+    """Cases beyond full_grid_walk's reach: many elements, or grids of
+    2e4 to 3e5 points."""
+    cases = [
+        (mat([[1, 2, 3, 4, 5, 6]]), 12),
+        (mat([[10, 6, 0], [0, 0, 7]]), 210),
+        (mat([[2, 3, 5]]), 210),
+    ]
+    rng = random.Random(20261022)
+    while len(cases) < 53:
+        r = rng.randint(2, 8)
+        moduli = [n for n in range(2, 548) if 2 * 10**4 <= n**r <= 3 * 10**5]
+        modulus = rng.choice(moduli)
+        m = rng.randint(1, r + 2)
+        scale = rng.choice(divisors(modulus)[:-1])
+        rows = [[scale * rng.randint(-modulus, modulus) for _ in range(r)]
+                for _ in range(m)]
+        cases.append((mat(rows, cols=r), modulus))
+    return cases
+
+
+def test_outputs_beyond_the_full_grid_walk_are_pinned():
+    # sha256 of the repr of (elements, sorted histogram) of every case,
+    # recorded from the walk that kept each residue as a tuple
+    digest = hashlib.sha256()
+    for f, modulus in pinned_cases():
+        sample = enumerate_torsion(f, modulus)
+        out = (sample.elements, sorted(sample.order_histogram.items()))
+        digest.update(repr(out).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "6335ca13acfc3dbdc8a73eecca1cac668b231a6125fabab19eccfcb311f0fa28"
+    )
 
 
 def block_diagonal(a, b):
