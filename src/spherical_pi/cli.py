@@ -24,7 +24,7 @@ def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse(text)
 
@@ -67,6 +67,9 @@ def _print_entry_runs(name: str, runs) -> bool:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    if args.action != "run" and args.name is not None:
+        print(f"catalog {args.action} takes no entry name", file=sys.stderr)
+        return EXIT_PARSE
     if args.action == "list":
         for entry in catalog():
             print(entry.name)

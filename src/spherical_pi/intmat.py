@@ -5,26 +5,24 @@ bound and nothing overflows silently.  ``snf(m)`` returns the unimodular
 transformations ``U`` and ``V`` alongside the form, which lets callers
 (and the test suite) re-check every factorization by direct
 multiplication; the keywords ``with_u`` and ``with_v`` skip one or both.
-The pipeline asks only for what it reads.  On the Smith route of the
-report (colors without full column rank) the colors' Smith form takes
-``V`` only, because the coroot-span check and the ambient quotient read
-it, and so does ``dual_saturation``.  The reduced ambient form takes
-neither certificate.  Both certificates are read only by the independent
-verification route, :mod:`spherical_pi.verify`.
+The pipeline asks only for what it reads: ``dual_saturation`` takes
+``V``, and no report asks for a certificate.  Both certificates are read
+only by the independent verification route, :mod:`spherical_pi.verify`.
 
-Colors of full column rank take no certificate at all.  ``_det_minor``
-finds the determinant D of a nonsingular square row minor by a
-fraction-free elimination, and ``_hermite_mod`` computes the Hermite
-basis of the row lattice with every entry kept below a multiple of the
-lattice's index, such as D (Cohen, GTM 138, Alg. 2.4.8).  The report
-reads its quotients and the coroot-span check off that basis.
+The report reads its quotients and the coroot-span check off Hermite
+bases.  ``_det_minor`` finds the rank k of a matrix and the determinant
+of a nonsingular k x k row minor by a fraction-free elimination, and
+``_hermite_mod`` computes the Hermite basis of ``L(rows) + d Z^n``, for
+d a multiple of that minor, with every entry kept below d (Cohen, GTM
+138, Alg. 2.4.8; Domich, Kannan and Trotter 1987).  At full rank, with
+d a multiple of the index, that lattice is the row lattice itself.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
 elimination over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P``
 is never above the rank over Q, so a full rank mod ``_P`` proves full
-rank.  Any other result falls back to ``_det_minor``, which is exact:
-it returns 0 exactly when the rank is below the column count.
+rank.  Any other result falls back to ``_det_minor``, whose rank is
+exact.
 
 Matrices the package builds itself (normal forms and their
 certificates, products, transposes, stacks, root and coroot matrices,
@@ -419,73 +417,83 @@ def _lead(row: Sequence[int], s: int) -> int | None:
     return row.index(x) + s if x else None
 
 
-def _det_minor(rows: Sequence[Sequence[int]], n: int) -> int:
-    """``|det|`` of a nonsingular ``n x n`` row minor, or 0 when the rank is below n.
+def _det_minor(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int]:
+    """The rank k of ``rows`` and ``|det|`` of a nonsingular k x k minor, 1 at k = 0.
 
-    Fraction-free (Bareiss) elimination with row pivoting: step k takes
-    the first remaining row with a nonzero entry in column k as its pivot
-    row, and the other rows become ``(p_k row - row[k] pivot) / p_{k-1}``,
-    an exact division, where ``p_k`` is the pivot's entry in column k and
-    ``p_{-1} = 1``.  The pivot rows form the minor and ``|p_{n-1}|`` is
-    its determinant, a multiple of the index of the row lattice; a column
-    without a pivot means a rank below n.
+    Fraction-free (Bareiss) elimination with row pivoting: a column where
+    no remaining row is nonzero takes no step, and step t takes the first
+    remaining row that is nonzero in its column ``c_t`` as its pivot row;
+    the other rows become ``(p_t row - row[c_t] pivot) / p_{t-1}``, an
+    exact division, where ``p_t`` is the pivot's entry there and ``p_{-1}
+    = 1``.  ``|p_{k-1}|`` is the determinant of the minor on the pivot
+    rows and columns, a multiple of the k-th determinantal divisor.
 
     A row is brought up to date only when a step reads it, which is
-    when the search for a pivot reaches it, so the rows after the last
-    pivot are never touched.  Steps at which it has 0 in the pivot column
-    would only scale it by ``p_k / p_{k-1}``; they are skipped, and the
-    ``p_{t-1} / p_{s-1}`` that steps s to t - 1 owe it is paid at the
-    next step t that updates it, or when it becomes the pivot.
+    when the search for a pivot reaches it.  Steps at which it has 0 in
+    the pivot column would only scale it by ``p_t / p_{t-1}``; they are
+    skipped, and the ``p_{t-1} / p_{s-1}`` that steps s to t - 1 owe it is
+    paid at the next step t that updates it, or when it becomes the pivot.
     """
-    p = [1]  # p[k] = p_{k-1}
-    tails: list[Sequence[int]] = []  # the pivot row of step k, from column k + 1 on
-    # each remaining row as its entries from column s on at step s, and s
-    work = [(row, 0) for row in rows]
-    for k in range(n):
-        if len(work) < n - k:
-            return 0
-        for i, (row, s) in enumerate(work):
+    p = [1]  # p[t] = p_{t-1}
+    cols: list[int] = []  # c_t
+    tails: list[Sequence[int]] = []  # the pivot row of step t, from column c_t + 1 on
+    # each remaining row as its entries from column c on, c, and the step
+    # s it is up to date to
+    work = [(row, 0, 0) for row in rows]
+    for j in range(n):
+        k = len(cols)
+        for i, (row, c, s) in enumerate(work):
             for t in range(s, k):
-                c = row[t - s]
-                if not c:
+                if not row[cols[t] - c]:
                     continue
-                row = row[t - s :]
+                row = row[cols[t] - c :]
                 if t > s:
                     row = [x * p[t] // p[s] for x in row]
-                c = row[0]
-                row = [(p[t + 1] * x - c * y) // p[t] for x, y in zip(row[1:], tails[t])]
-                s = t + 1
-            work[i] = (row, s)
-            if row[k - s]:
+                a = row[0]
+                row = [(p[t + 1] * x - a * y) // p[t] for x, y in zip(row[1:], tails[t])]
+                c, s = cols[t] + 1, t + 1
+            work[i] = (row, c, s)
+            if row[j - c]:
                 break
         else:
-            return 0
+            continue
         del work[i]
-        row = row[k - s :]
+        row = row[j - c :]
         if k > s:
             row = [x * p[k] // p[s] for x in row]
         p.append(row[0])
+        cols.append(j)
         tails.append(row[1:])
-    return abs(p[n])
+    return len(cols), abs(p[-1])
 
 
-def _hermite_mod(rows: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
-    """The Hermite basis of the row lattice of ``rows``, computed mod ``d``.
+def _hermite_mod(
+    rows: Sequence[Sequence[int]], n: int, d: int, k: int
+) -> list[list[int]]:
+    """The Hermite basis of ``L(rows) + d Z^n``, computed mod divisors of ``d``.
 
-    ``d`` must be a nonzero multiple of the index of the lattice in
-    ``Z^n``; the result is then the n x n upper-triangular basis ``H`` with
-    ``h_jj > 0`` and ``0 <= h_ij < h_jj`` above the diagonal.  The lattice
-    contains ``d Z^n``, so rows are kept mod ``d`` (Cohen, GTM 138, Alg.
-    2.4.8; Domich, Kannan and Trotter 1987).  Column j folds every row
-    with a nonzero entry there into one by extended-gcd pairs, which act on
-    entries j to n - 1 only.  Row j of ``H`` is that row times ``u``, where
-    ``u x = gcd(x, R) = h_jj`` mod the current modulus R; R then becomes
-    ``R / h_jj``, the index of what is left.  A row waits untouched under
-    its first nonzero column until that column comes, and moves on if its
+    ``d >= 1`` must be a multiple of the k-th determinantal divisor of
+    ``rows`` for some k up to their rank (k = 0 allows any d).  The
+    quotient of ``Z^n`` by the lattice is ``(Z/d)^(n - rank)`` times the
+    ``Z/gcd(s_i, d)`` over the elementary divisors ``s_i``, so ``m =
+    d^(n-k+1)`` is a multiple of its index.  The result is the n x n
+    upper-triangular ``H`` with ``0 <= h_ij < h_jj`` above the diagonal.
+
+    What is left of the lattice at column j contains ``R Z^(n-j)`` for
+    ``R = gcd(m, d)``, so rows are kept mod R (Cohen, GTM 138, Alg. 2.4.8;
+    Domich, Kannan and Trotter 1987).  Column j folds every row that is
+    nonzero there into one pivot row P by extended-gcd pairs, on entries
+    j to n - 1 only.  Row j of ``H`` is P times ``u``, where ``u x =
+    gcd(x, R) = h_jj`` mod R; m then becomes ``m / h_jj`` and R its gcd
+    with d.  What is left also holds ``R / h_jj`` times the tail of P,
+    which waits with the other rows unless the new R divides ``R /
+    h_jj``, as it always does at k = n.  A row waits untouched under its
+    first nonzero column until that column comes, and moves on if its
     entry there is a multiple of R.  Last, rows are reduced from the
     bottom up: each entry above a pivot is reduced mod it by the reduced
     row below, along that row's nonzero entries only.
     """
+    m = d ** (n - k + 1)
     mod = d
     # (entries from column s on, s) of the working rows by lead column
     waiting: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(n)]
@@ -528,16 +536,22 @@ def _hermite_mod(rows: Sequence[Sequence[int]], n: int, d: int) -> list[list[int
             u = pow(pivot[0] // h, -1, mod // h)
             tail = [u * x % mod for x in pivot[1:]]
         basis.append([0] * j + [h] + tail)
-        mod //= h
+        m //= h
+        left = gcd(m, d)
+        if pivot is not None and mod // h % left:
+            row = [mod // h * x % left for x in pivot[1:]]
+            if (c := _lead(row, j + 1)) is not None:
+                waiting[c].append((row, j + 1))
+        mod = left
     support: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = basis[i]
         for j in range(i + 1, n):
             if q := row[j] // basis[j][j]:
                 below = basis[j]
-                for k in support[j]:
-                    row[k] -= q * below[k]
-        support[i] = [k for k in range(i, n) if row[k]]
+                for t in support[j]:
+                    row[t] -= q * below[t]
+        support[i] = [t for t in range(i, n) if row[t]]
     return basis
 
 
@@ -547,4 +561,4 @@ def _full_column_rank(m: IntMatrix) -> bool:
     A full rank mod ``_P`` proves it; any other result is settled by the
     exact fraction-free elimination of :func:`_det_minor`.
     """
-    return _rank_mod(m) == m.cols or _det_minor(m.entries, m.cols) != 0
+    return _rank_mod(m) == m.cols or _det_minor(m.entries, m.cols)[0] == m.cols

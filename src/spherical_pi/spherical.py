@@ -17,24 +17,22 @@ Everything before the final p'-extraction is characteristic-free.  A
 datum and the copies :meth:`SphericalDatum.with_char_exponent` makes of
 it share that core: the two quotients and the p-free check outcomes.
 The first call that reads it fills it, and a report at another p only
-projects it.  When the colors F have full column rank, the core is read
-off Hermite bases taken modulo a determinant, with no certificate (see
-:func:`_core`); other colors take the Smith form of F with ``V``.  Every
-public entry point that returns a quotient, a pi or a check outcome
-projects that core.
+projects it.  The core is read off Hermite bases taken modulo a
+determinant, with no certificate, for colors of any rank (see
+:func:`_core`).  Every public entry point that returns a quotient, a pi
+or a check outcome projects that core.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, lcm, prod
 
 from .arith import _check_char_exponent, _check_count
 from .intmat import (
     DimensionError,
     IntMatrix,
-    SnfResult,
     _det_minor,
     _full_column_rank,
     _hermite_mod,
@@ -234,23 +232,6 @@ def _checks(sd: SphericalDatum, outside: list[int]) -> tuple[CheckOutcome, ...]:
     return tuple(outcomes)
 
 
-def _outside_smith(sd: SphericalDatum, colors_snf: SnfResult) -> list[int]:
-    """The restricted coroots outside L(F), read off the Smith form U F V = S.
-
-    A restricted coroot c is an integer combination of the rows of F
-    exactly when c V = z S for an integer row z, that is when (c V)_j is
-    divisible by s_j below the rank and zero from the rank on.
-    """
-    rank = colors_snf.rank
-    diag = colors_snf.diagonal()
-    restricted = sd.root_datum.coroot_matrix() @ sd.lattice_embedding
-    return [
-        i
-        for i, row in enumerate((restricted @ colors_snf.V).entries)
-        if any(x % diag[j] if j < rank else x for j, x in enumerate(row))
-    ]
-
-
 def _outside_hermite(sd: SphericalDatum, basis: list[list[int]]) -> list[int]:
     """The restricted coroots outside L(F), divided down its Hermite basis H.
 
@@ -314,41 +295,6 @@ def ambient_color_saturation(
     return dual_saturation(sd.rank, stack_rows(sd.colors, sd.lattice_embedding))
 
 
-def _ambient_quotient(sd: SphericalDatum, colors_snf: SnfResult) -> FinGenAbQuotient:
-    """The ambient quotient, read off the Smith form U F V = S of the colors.
-
-    It is the quotient of the saturation of [F; E], whose invariant
-    factors are those of [S; E V]: U acts on the rows of F alone and V
-    on the columns of both blocks.  Row j < rho of S is s_j e_j, so
-    column j of E V counts mod s_j, and a column with s_j = 1 splits
-    off a trivial factor.  What is left is diag(s_j > 1) stacked on
-    the nonzero rows of E V, on the columns j < rho with s_j > 1 (taken
-    mod s_j) and the kernel columns j >= rho.
-    """
-    rank = colors_snf.rank
-    diag = colors_snf.diagonal()
-    kept = [j for j in range(rank) if diag[j] > 1]
-    cols = kept + list(range(rank, sd.rank))
-    # the modulus of each column; 0 leaves a kernel column as it is
-    mods = [diag[j] for j in kept] + [0] * (sd.rank - rank)
-    v_cols = IntMatrix._trusted(
-        sd.rank,
-        len(cols),
-        tuple(tuple(row[j] for j in cols) for row in colors_snf.V.entries),
-    )
-    rows = [
-        tuple(s if k == i else 0 for k in range(len(cols)))
-        for i, s in enumerate(mods)
-        if s
-    ]
-    for row in (sd.lattice_embedding @ v_cols).entries:
-        reduced = tuple(x % s if s else x for x, s in zip(row, mods))
-        if any(reduced):
-            rows.append(reduced)
-    reduced_m = IntMatrix._trusted(len(rows), len(cols), tuple(rows))
-    return smith_quotient(snf(reduced_m, with_u=False, with_v=False))
-
-
 def ambient_saturation_quotient(sd: SphericalDatum) -> FinGenAbQuotient:
     """Quotient of the ambient saturation by the weight lattice.
 
@@ -385,19 +331,39 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
     return full_report(sd).pi1
 
 
-def _hermite_quotient(basis: list[list[int]]) -> FinGenAbQuotient:
+def _hermite_quotient(
+    basis: list[list[int]], divisible_rank: int = 0
+) -> FinGenAbQuotient:
     """The quotient of ``Z^r`` by the lattice with this Hermite basis.
 
     A column j with ``h_jj = 1`` is the unit vector e_j, since the entries
     above a pivot are reduced mod it, so it and row j split off a trivial
     factor; what is left is the basis on the rows and columns with
-    ``h_jj > 1``.
+    ``h_jj > 1``.  Its ``divisible_rank`` largest factors are dropped and
+    stand for as many divisible directions.
     """
     kept = [j for j, row in enumerate(basis) if row[j] > 1]
     m = IntMatrix._trusted(
         len(kept), len(kept), tuple(tuple(basis[i][j] for j in kept) for i in kept)
     )
-    return smith_quotient(snf(m, with_u=False, with_v=False))
+    factors = smith_quotient(snf(m, with_u=False, with_v=False)).invariant_factors
+    return FinGenAbQuotient(divisible_rank, factors[: len(factors) - divisible_rank])
+
+
+def _outside_row_space(sd: SphericalDatum, rank: int) -> list[int]:
+    """The restricted coroots c outside the row space of the colors over Q,
+    where ``[F; c]`` has a rank above ``rank``, that of F.
+
+    Data that pass the check cost one elimination, of F and every c, and
+    a torus costs none.
+    """
+    restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
+    colors = sd.colors.entries
+    if not restricted or _det_minor(colors + restricted, sd.rank)[0] == rank:
+        return []
+    return [
+        i for i, c in enumerate(restricted) if _det_minor(colors + (c,), sd.rank)[0] > rank
+    ]
 
 
 def _core(
@@ -405,32 +371,33 @@ def _core(
 ) -> tuple[FinGenAbQuotient, FinGenAbQuotient, tuple[CheckOutcome, ...]]:
     """The characteristic-free core of ``sd``, computed on first use.
 
-    It holds the two quotients and the p-free check outcomes.  When the
-    colors F have full column rank, ``_det_minor`` gives ``D != 0``, a
-    multiple of the index of L(F), and everything is read off the Hermite
-    basis H of L(F) taken mod D, with no certificate.  L(F) lies in L([F;
-    E]), so ``det H`` is a multiple of the index of the latter, whose
-    Hermite basis mod ``det H`` gives the ambient quotient.  Any other F
-    takes the certified route: the Smith form of F with ``V``, which gives
-    both the span check and, by :func:`_ambient_quotient`, the ambient
-    quotient; it is the only route with a divisible part.
+    It holds the two quotients and the p-free check outcomes.
+    ``_det_minor`` gives the rank k of the colors F and a k x k minor d;
+    below full rank, d is raised to a multiple of the index of L([F; E]),
+    which has full rank because E has.  The Hermite basis H of ``L(F) +
+    d Z^r`` gives the color quotient: its torsion, whose exponent divides
+    d, and ``r - k`` factors d for its divisible directions.  ``L([F;
+    E])`` contains ``d Z^r``, so it is the lattice of ``[H; E]``, whose
+    Hermite basis mod the gcd of ``det H`` and d gives the ambient
+    quotient.  A restricted coroot lies in L(F) exactly when it divides
+    down H and lies in the row space of F, which ``L(F) + d Z^r`` meets
+    in L(F).
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
         colors = sd.colors.entries
-        d = _det_minor(colors, sd.rank)
-        if d:
-            basis = _hermite_mod(colors, sd.rank, d)
-            index = prod(row[j] for j, row in enumerate(basis))
-            ambient = _hermite_mod(
-                basis + list(sd.lattice_embedding.entries), sd.rank, index
-            )
-            quotients = (_hermite_quotient(basis), _hermite_quotient(ambient))
-            outside = _outside_hermite(sd, basis)
-        else:
-            colors_snf = snf(sd.colors, with_u=False)
-            quotients = (smith_quotient(colors_snf), _ambient_quotient(sd, colors_snf))
-            outside = _outside_smith(sd, colors_snf)
+        embedding = sd.lattice_embedding.entries
+        r = sd.rank
+        k, d = _det_minor(colors, r)
+        if k < r:
+            d = lcm(d, _det_minor(colors + embedding, r)[1])
+        basis = _hermite_mod(colors, r, d, k)
+        index = prod(row[j] for j, row in enumerate(basis))
+        ambient = _hermite_mod(basis + list(embedding), r, gcd(index, d), r)
+        outside = _outside_hermite(sd, basis)
+        if k < r:
+            outside = sorted({*outside, *_outside_row_space(sd, k)})
+        quotients = (_hermite_quotient(basis, r - k), _hermite_quotient(ambient))
         core.append(quotients + (_checks(sd, outside),))
     return core[0]
 
@@ -439,14 +406,13 @@ def full_report(sd: SphericalDatum) -> Report:
     """Validate and run the whole pipeline from the characteristic-free core.
 
     The core (see :func:`_core`) holds the color saturation quotient, the
-    ambient one and the embedding-rank and coroot-span outcomes.  Colors
-    of full column rank cost one determinant, two Hermite bases taken mod
-    a determinant and two certificate-free Smith forms of their blocks
-    with pivots above 1; any other colors cost the Smith form U F V = S
-    with ``V`` and the certificate-free one of the small matrix
-    :func:`_ambient_quotient` builds from it.  pi1 and pi0 are the
-    p'-parts of the two quotients.  A failed coroot-span check is a
-    warning in ``validation``.
+    ambient one and the embedding-rank and coroot-span outcomes.  It
+    costs one determinant (two below full column rank), two Hermite bases
+    taken mod a determinant and two certificate-free Smith forms of their
+    blocks with pivots above 1; below full column rank, the coroots take
+    an exact rank test, one per coroot when some coroot fails it.  pi1 and
+    pi0 are the p'-parts of the two quotients.  A failed coroot-span check
+    is a warning in ``validation``.
 
     The core is computed once, by the first call of any public entry point
     on ``sd`` or on a datum it shares its core with (see

@@ -1,10 +1,12 @@
 """The independent verification route, which no report, CLI command or
 benchmark operation runs and no other module of the package imports.
 
-The pipeline reads pi0 and pi1 off Hermite bases or Smith forms of the
-colors.  The test suite re-checks it with what this module holds:
-``mul_vec``, ``det``, ``hnf`` (the reference for the pipeline's Hermite
-bases) and ``solve_in_lattice``; membership in and equality of saturations
+The pipeline reads pi0 and pi1 off Hermite bases of the colors' row
+lattice plus a multiple of ``Z^r``.  The test suite re-checks it with
+what this module holds: ``mul_vec``, ``det``, ``hnf`` (the reference for
+the pipeline's Hermite bases) and ``solve_in_lattice`` (the reference for
+those bases at any rank, and for the coroot-span check, one solve per
+coroot); membership in and equality of saturations
 (``contains``, ``same_set``); rational lattices with their intersection
 and finite quotients, a second route to the ambient quotient; the
 root data ``torus``, ``product`` and ``coroot_saturation``; and

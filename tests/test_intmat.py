@@ -621,22 +621,25 @@ class TestRankModP:
 
 
 def first_minor_det(rows, n):
-    """``|det|`` of the minor that row pivoting picks, by elimination over Q.
+    """The rank and ``|det|`` of the minor that row pivoting picks, by
+    elimination over Q.
 
-    Column k takes the first remaining row with a nonzero entry there; 0
-    when some column has none.
+    Column j takes the first remaining row with a nonzero entry there as
+    its pivot row; a column where no row has one takes none.  The minor of
+    rank 0 is 1.
     """
     work = [[Fraction(x) for x in row] for row in rows]
-    d = Fraction(1)
-    for k in range(n):
-        pivot = next((row for row in work if row[k]), None)
+    d, k = Fraction(1), 0
+    for j in range(n):
+        pivot = next((row for row in work if row[j]), None)
         if pivot is None:
-            return 0
+            continue
         work.remove(pivot)
-        d *= pivot[k]
-        work = [[a - row[k] / pivot[k] * b for a, b in zip(row, pivot)] for row in work]
+        d *= pivot[j]
+        k += 1
+        work = [[a - row[j] / pivot[j] * b for a, b in zip(row, pivot)] for row in work]
     assert d.denominator == 1
-    return abs(int(d))
+    return k, abs(int(d))
 
 
 def index_of(m):
@@ -700,13 +703,14 @@ class TestHermiteMod:
     def test_det_minor_against_the_index_and_an_elimination_over_q(self):
         verdicts = Counter()
         for m in kernel_inputs():
-            d = _det_minor(m.entries, m.cols)
+            k, d = _det_minor(m.entries, m.cols)
             index = index_of(m)
-            assert d == first_minor_det(m.entries, m.cols)
-            assert (d == 0) == (index == 0)
-            if d:
+            assert (k, d) == first_minor_det(m.entries, m.cols)
+            full = k == m.cols
+            assert full == (index != 0)
+            if full:
                 assert d % index == 0
-            verdicts[bool(d), m.rows < m.cols, m.rows == m.cols] += 1
+            verdicts[full, m.rows < m.cols, m.rows == m.cols] += 1
         # full rank square and tall, singular square and tall, and wide
         assert verdicts[True, False, True] >= 30 and verdicts[True, False, False] >= 80
         assert verdicts[False, False, True] >= 25 and verdicts[False, False, False] >= 40
@@ -723,14 +727,14 @@ class TestHermiteMod:
         rng = random.Random("hermite-mod moduli")
         checked = 0
         for m in kernel_inputs():
-            d = _det_minor(m.entries, m.cols)
-            if not d:
+            k, d = _det_minor(m.entries, m.cols)
+            if k < m.cols:
                 continue
             index = index_of(m)
             want = hermite_reference(m)
             # the determinant, the index itself, and bare multiples of it
             for modulus in (d, index, index * rng.randint(2, 40), index * (1 << 70)):
-                basis = _hermite_mod(m.entries, m.cols, modulus)
+                basis = _hermite_mod(m.entries, m.cols, modulus, m.cols)
                 assert basis == want, (m, modulus)
             assert math.prod(row[j] for j, row in enumerate(want)) == index
             s = snf(mat(want, cols=m.cols), with_u=False, with_v=False)
@@ -747,25 +751,111 @@ class TestHermiteMod:
             n = rng.randint(1, 8)
             while True:
                 f = sparse_matrix(rng, rng.randint(n, n + 3), n, 1, rng.choice((3, 20)))
-                d = _det_minor(f.entries, n)
-                if d:
+                k, d = _det_minor(f.entries, n)
+                if k == n:
                     break
-            h = _hermite_mod(f.entries, n, d)
+            h = _hermite_mod(f.entries, n, d, n)
             e = sparse_matrix(rng, rng.randint(0, 4), n, 0.6, 3)
             both = stack_rows(f, e)
             got = _hermite_mod(h + [list(row) for row in e.entries], n,
-                               math.prod(row[j] for j, row in enumerate(h)))
+                               math.prod(row[j] for j, row in enumerate(h)), n)
             assert got == hermite_reference(both)
 
     def test_edge_shapes(self):
-        assert _det_minor((), 0) == 1 and _hermite_mod((), 0, 1) == []
-        assert _det_minor(((),), 0) == 1
-        assert _det_minor((), 2) == 0
-        assert _det_minor(((0, 0), (0, 0), (0, 0)), 2) == 0
-        assert _det_minor(((0, 3), (0, 5), (2, 7)), 2) == 6
-        assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6) == [[2, 0], [0, 1]]
+        assert _det_minor((), 0) == (0, 1) and _hermite_mod((), 0, 1, 0) == []
+        assert _det_minor(((),), 0) == (0, 1)
+        assert _det_minor((), 2) == (0, 1)
+        assert _det_minor(((0, 0), (0, 0), (0, 0)), 2) == (0, 1)
+        assert _det_minor(((0, 3), (0, 5), (2, 7)), 2) == (2, 6)
+        assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6, 2) == [[2, 0], [0, 1]]
         # an entry that is a multiple of the modulus counts as zero
-        assert _hermite_mod(((12, 7), (0, 1)), 2, 12) == [[12, 0], [0, 1]]
+        assert _hermite_mod(((12, 7), (0, 1)), 2, 12, 2) == [[12, 0], [0, 1]]
+        # a column without a pivot takes no step
+        assert _det_minor(((0, 3, 1), (0, 6, 5), (0, 9, 6)), 3) == (2, 9)
+        assert _hermite_mod((), 2, 5, 0) == [[5, 0], [0, 5]]
+        assert _hermite_mod(((0, 0),), 2, 1, 0) == [[1, 0], [0, 1]]
+        assert _hermite_mod(((0, 3, 1),), 3, 1, 1) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _hermite_mod(((0, 3, 1),), 3, 6, 1) == [[6, 0, 0], [0, 3, 1], [0, 0, 2]]
+
+
+def deficient_case(rng, i):
+    """Seeded rows of any rank, with zero and repeated rows mixed in.
+
+    The rows are a product through a middle of at most the column count,
+    with entries of 3, 8 or about 200 bits; every fourth case has no rows.
+    """
+    n = rng.randint(0, 6)
+    nr = 0 if i % 4 == 0 else rng.randint(1, 7)
+    bits = (3, 8, 100)[i % 3]
+    middle = rng.randint(0, n)
+    rows = [list(row) for row in (
+        sparse_matrix(rng, nr, middle, 1, bits) @ sparse_matrix(rng, middle, n, 0.7, bits)
+    ).entries]
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        extra = rng.choice(rows) if rng.random() < 0.5 else [0] * n
+        rows.insert(rng.randrange(len(rows) + 1), list(extra))
+    return rows, n
+
+
+def in_lattice(basis, v):
+    """Whether ``v`` is an integer combination of the rows of ``basis``."""
+    n = len(v)
+    if not basis:
+        return not any(v)
+    return solve_in_lattice(mat(basis, cols=n).transpose(), v) is not None
+
+
+class TestRankRevealing:
+    """``_det_minor`` below full rank and ``_hermite_mod`` of ``L(rows) + d Z^n``."""
+
+    def test_det_minor_gives_the_rank_and_a_multiple_of_the_divisor(self):
+        rng = random.Random("rank-revealing")
+        ranks = Counter()
+        cases = [deficient_case(rng, i) for i in range(400)]
+        cases += [(m.entries, m.cols) for m in kernel_inputs()]
+        for rows, n in cases:
+            k, d = _det_minor(rows, n)
+            res = snf(mat(rows, cols=n), with_u=False, with_v=False)
+            assert k == res.rank
+            assert d >= 1 and d % math.prod(res.diagonal()[:k]) == 0
+            ranks[k < n, k] += 1
+        assert sum(v for (deficient, _), v in ranks.items() if deficient) >= 250
+        assert all(ranks[True, k] >= 10 for k in range(6))
+
+    def test_hermite_mod_at_every_rank_and_modulus(self):
+        # L(rows) + d Z^n, for every k up to the rank whose determinantal
+        # divisor divides d (k = 0 for any d), against the lattice itself
+        rng = random.Random("hermite-mod of any rank")
+        checked = Counter()
+        for i in range(240):
+            rows, n = deficient_case(rng, i)
+            rank, minor = _det_minor(rows, n)
+            diagonal = snf(mat(rows, cols=n), with_u=False, with_v=False).diagonal()
+            for d in {1, rng.randint(2, 40), minor, minor * rng.randint(2, 9)}:
+                gens = rows + [[d * (i == j) for j in range(n)] for i in range(n)]
+                bases = []
+                for k in range(rank + 1):
+                    if d % math.prod(diagonal[:k]):
+                        continue
+                    basis = _hermite_mod(rows, n, d, k)
+                    assert len(basis) == n
+                    for j, row in enumerate(basis):
+                        assert len(row) == n and row[j] > 0 and not any(row[:j])
+                        assert all(0 <= basis[t][j] < row[j] for t in range(j))
+                    bases.append(basis)
+                    checked[k == rank, rank < n] += 1
+                # the Hermite basis of a lattice is unique
+                assert all(basis == bases[0] for basis in bases)
+                assert all(in_lattice(gens, row) for row in bases[0])
+                assert all(in_lattice(bases[0], row) for row in gens)
+        assert checked[True, True] >= 100 and checked[False, True] >= 100
+        assert checked[True, False] >= 50
+
+    def test_a_dropped_tail_is_taken_back(self):
+        # rows (2, 1) at rank 1 with d = 4: m = 16 and R = 4 at column 0,
+        # whose pivot 2 leaves R / 2 = 2 times the tail 1, which the next R
+        # of 4 does not divide; without it, (0, 2) would be missing
+        assert _hermite_mod(((2, 1),), 2, 4, 1) == [[2, 1], [0, 2]]
 
 
 def test_diagonal_agrees_with_sympy():

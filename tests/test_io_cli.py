@@ -530,6 +530,14 @@ class TestCli:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["compute", str(tmp_path / "absent.json")]) == 2
 
+    def test_a_file_that_is_not_utf8_exits_2_naming_its_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + catalog_entry("sl2_mod_torus").document.encode())
+        assert main(["compute", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec ")
+
     def test_validate_ok(self, tmp_path, capsys):
         path = self.write(tmp_path, catalog_entry("sl2_mod_torus").document)
         assert main(["validate", path]) == 0
@@ -599,6 +607,13 @@ class TestCli:
 
     def test_catalog_run_requires_name(self, capsys):
         assert main(["catalog", "run"]) == 2
+
+    @pytest.mark.parametrize("action", ["list", "run-all"])
+    def test_catalog_list_and_run_all_take_no_name(self, capsys, action):
+        assert main(["catalog", action, "bogus"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"catalog {action} takes no entry name\n"
 
     def test_catalog_run_all(self, capsys):
         assert main(["catalog", "run-all"]) == 0

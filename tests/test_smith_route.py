@@ -1,17 +1,18 @@
-"""The two routes of full_report: Hermite bases and Smith forms.
+"""The one route of full_report, Hermite bases, against Smith forms.
 
 ``full_report`` reads its quotients and the coroot-span check off the
-Hermite basis of the colors' row lattice when the colors have full
-column rank, and off their Smith form otherwise.  These tests compare
-its verdicts with the reference route, one ``solve_in_lattice`` per
-restricted coroot, hold the Hermite route to the Smith route, pin the
-kernel calls a report costs, and check metamorphic properties: the
-quotients, pi0, pi1 and the coroot-span verdict depend only on the
-weight lattice inside the character lattice and on the integer row span
-of the colors, so they must not change under a unimodular change of
-weight basis, a permutation of the colors, a duplicated color, or an
-appended integer combination of colors.  Random data come from seeded
-``random`` draws."""
+Hermite basis of ``L(F) + d Z^r``, the colors' row lattice plus a
+multiple of ``Z^r``, with an exact row-space test below full column
+rank.  These tests compare its verdicts with the reference route, one
+``solve_in_lattice`` per restricted coroot, hold its quotients to the
+Smith forms of F and of [F; E], pin the kernel calls a report costs,
+and check metamorphic properties: the quotients, pi0, pi1 and the
+coroot-span verdict depend only on the weight lattice inside the
+character lattice and on the integer row span of the colors, so they
+must not change under a unimodular change of weight basis, a
+permutation of the colors, a duplicated color, or an appended integer
+combination of colors.  Random data come from seeded ``random``
+draws."""
 
 import dataclasses
 import itertools
@@ -27,7 +28,7 @@ from spherical_pi import cli, intmat, spherical
 from spherical_pi.catalog import CHARACTERISTICS, catalog_entry, run_entry
 from spherical_pi.documents import ParseError, parse
 from spherical_pi.intmat import IntMatrix, snf, stack_rows
-from spherical_pi.lattices import smith_quotient
+from spherical_pi.lattices import FinGenAbQuotient, smith_quotient
 from spherical_pi.root_data import (
     ADJOINT,
     SIMPLY_CONNECTED,
@@ -108,6 +109,17 @@ def flagged(outcomes):
     return [int(x) for x in found.group(1).split(", ")]
 
 
+def a1_with_central_torus(colors):
+    """A1, simply connected, times a 1-dimensional central torus, with the
+    character lattice as the weight lattice; coroot 0 restricts to (1, 0)."""
+    return SphericalDatum(
+        build_standard("A", 1, SIMPLY_CONNECTED, 1),
+        IntMatrix.from_rows([[1, 0], [0, 1]]),
+        IntMatrix.from_rows(colors),
+        1,
+    )
+
+
 class TestSpanCheckAgainstReference:
     def test_random_data(self):
         rng = random.Random(20240401)
@@ -129,6 +141,27 @@ class TestSpanCheckAgainstReference:
         assert flagged(validate(twin)) == want
         assert flagged(full_report(twin).validation) == want
         assert flagged(full_report(group_case("A", n)).validation) == []
+
+    def test_deficient_colors_outside_the_row_space(self, monkeypatch):
+        # F = [[0, 1]] and [F; E] have minors 1, so L(F) + d Z^2 is Z^2 and
+        # holds (1, 0): only the row-space test flags the coroot
+        sd = a1_with_central_torus([[0, 1]])
+        assert reference_outside(sd) == flagged(validate(sd)) == [0]
+        monkeypatch.setattr(spherical, "_outside_row_space", lambda sd, rank: [])
+        assert flagged(validate(a1_with_central_torus([[0, 1]]))) == []
+
+    def test_deficient_colors_in_the_row_space_outside_the_lattice(self):
+        # (1, 0) is half of the color (2, 0): in its row space, not in L(F)
+        sd = a1_with_central_torus([[2, 0]])
+        assert spherical._outside_row_space(sd, 1) == []
+        assert reference_outside(sd) == flagged(validate(sd)) == [0]
+
+    def test_deficient_colors_holding_the_coroot(self):
+        sd = a1_with_central_torus([[1, 0]])
+        assert reference_outside(sd) == flagged(validate(sd)) == []
+        report = full_report(sd)
+        assert report.saturation_quotient == FinGenAbQuotient(1)
+        assert report.ambient_saturation_quotient == FinGenAbQuotient(0)
 
 
 MOD_P = "_rank_mod"
@@ -165,9 +198,9 @@ def record_snf(monkeypatch, requests=None):
         calls.append((DET, len(rows), n))
         return real(rows, n)
 
-    def counting_hnf(rows, n, d, real=intmat._hermite_mod):
+    def counting_hnf(rows, n, d, k, real=intmat._hermite_mod):
         calls.append((HNF, len(rows), n))
-        return real(rows, n, d)
+        return real(rows, n, d, k)
 
     patches = {
         "snf": (real, counting),
@@ -257,11 +290,30 @@ class TestSnfBudget:
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 3)
-        # fewer colors than columns: no minor has a determinant, so the
-        # certified route runs.  S = diag(1, 6) with a kernel column: one
-        # factor row and the 3 rows of E V on the columns of 6 and of the
-        # kernel
-        assert snf_shapes(monkeypatch, full_report, sd) == [(DET, 2, 3), (2, 3), (4, 2)]
+        # fewer colors than columns: rank 2 and a minor 6, raised to 36 by
+        # the minor of [F; E].  The basis of L(F) + 36 Z^3 has pivots 2, 3
+        # and 36, and the embedding makes the ambient basis I
+        assert snf_shapes(monkeypatch, full_report, sd) == [
+            (DET, 2, 3),
+            (DET, 5, 3),
+            (HNF, 2, 3),
+            (HNF, 6, 3),
+            (3, 3),
+            (0, 0),
+        ]
+
+    def test_deficient_colors_with_coroots_add_one_rank_test(self, monkeypatch):
+        # the rank of [F; C] settles every coroot of data that pass the check
+        sd = a1_with_central_torus([[1, 0]])
+        assert snf_shapes(monkeypatch, full_report, sd) == [
+            (DET, 1, 2),
+            (DET, 3, 2),
+            (HNF, 1, 2),
+            (HNF, 4, 2),
+            (DET, 2, 2),
+            (0, 0),
+            (0, 0),
+        ]
 
     def test_every_entry_point_reads_one_core(self, monkeypatch):
         # the public entry points, called in any order on a datum and its
@@ -343,7 +395,6 @@ class TestSnfBudget:
         assert calls == hermite_route(2, 1)
 
 
-V_ONLY = (False, True)
 NONE = (False, False)
 
 
@@ -365,11 +416,11 @@ class TestCertificateRequests:
         assert self.requests(monkeypatch, validate, twin) == [NONE, NONE]
 
     @pytest.mark.parametrize("fn", [full_report, validate])
-    def test_deficient_colors_ask_for_v_of_colors_only(self, monkeypatch, fn):
+    def test_deficient_colors_ask_for_no_certificate(self, monkeypatch, fn):
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 1)
-        assert self.requests(monkeypatch, fn, sd) == [V_ONLY, NONE]
+        assert self.requests(monkeypatch, fn, sd) == [NONE, NONE]
 
     def test_pi0_asks_for_no_certificate(self, monkeypatch):
         sd = group_case("A", 3)
@@ -470,27 +521,8 @@ def lattice_ambient_quotient(sd):
     )
 
 
-def second_form(monkeypatch, sd):
-    """The matrix that the certified route hands to its second Smith form,
-    the one that :func:`spherical._ambient_quotient` builds.
-
-    The route is run directly, so it is taken for colors of any shape."""
-    colors_snf = snf(sd.colors, with_u=False)
-    seen = []
-    real = spherical.snf
-
-    def recording(m, **kwargs):
-        seen.append(m)
-        return real(m, **kwargs)
-
-    monkeypatch.setattr(spherical, "snf", recording)
-    spherical._ambient_quotient(sd, colors_snf)
-    (m,) = seen
-    return m
-
-
 class TestAmbientFromColors:
-    """The ambient quotient read off the colors' Smith form, against [F; E]."""
+    """The ambient quotient of the core against [F; E] and the saturation."""
 
     def test_random_data_match_both_references(self):
         rng = random.Random("ambient-from-colors")
@@ -502,8 +534,6 @@ class TestAmbientFromColors:
             got = ambient_saturation_quotient(sd)
             assert got == direct_ambient_quotient(sd), (draw, sd.label)
             assert got == lattice_ambient_quotient(sd), (draw, sd.label)
-            smith_route = spherical._ambient_quotient(sd, snf(sd.colors, with_u=False))
-            assert smith_route == got, (draw, sd.label)
             seen[kind].add((sd.rank, sd.color_count))
             nontrivial += not got.is_trivial
         ranks = {r for shapes in seen.values() for r, _ in shapes}
@@ -520,39 +550,13 @@ class TestAmbientFromColors:
         assert ambient_saturation_quotient(sd) == direct_ambient_quotient(sd)
         assert ambient_saturation_quotient(sd).invariant_factors == (2, 6)
 
-    def test_unimodular_colors_leave_no_columns(self, monkeypatch):
-        rng = random.Random(7)
-        emb = IntMatrix.from_rows([[3, 1], [0, 5]])
-        sd = SphericalDatum(torus(2), emb, random_unimodular(rng, 2), 1)
-        m = second_form(monkeypatch, sd)
-        assert (m.rows, m.cols) == (0, 0)
-        assert ambient_saturation_quotient(sd).is_trivial
-
-    def test_second_form_holds_residues_below_each_factor(self, monkeypatch):
-        rng = random.Random("ambient-residues")
-        for draw in range(60):
-            kind = AMBIENT_KINDS[draw % len(AMBIENT_KINDS)]
-            sd = ambient_case(rng, kind, draw % 9)
-            colors_snf = snf(sd.colors, with_u=False, with_v=False)
-            factors = [
-                s for s in colors_snf.diagonal()[: colors_snf.rank] if s > 1
-            ]
-            m = second_form(monkeypatch, sd)
-            monkeypatch.undo()
-            assert m.cols == len(factors) + sd.rank - colors_snf.rank
-            for i, s in enumerate(factors):
-                assert m[i] == tuple(s * (j == i) for j in range(m.cols))
-            for row in m.entries[len(factors) :]:
-                assert any(row)
-                assert all(0 <= x < s for x, s in zip(row, factors))
-
 
 class TestHermiteRouteAgainstSmith:
-    """The report read off Hermite bases against the certified Smith route."""
+    """The report read off Hermite bases against the Smith forms of F and [F; E]."""
 
     def test_random_data(self):
         rng = random.Random("hermite-route")
-        routes = Counter()
+        classes = Counter()
         for draw in range(280):
             if draw % 2:
                 kind = AMBIENT_KINDS[draw // 2 % len(AMBIENT_KINDS)]
@@ -566,19 +570,21 @@ class TestHermiteRouteAgainstSmith:
             want = direct_ambient_quotient(sd)
             assert report.ambient_saturation_quotient == want, draw
             assert flagged(report.validation) == reference_outside(sd), draw
-            hermite = intmat._det_minor(sd.colors.entries, sd.rank) != 0
-            routes[hermite, bool(flagged(report.validation))] += 1
-        # both routes, with and without a failed span check
-        assert routes[True, False] >= 100 and routes[True, True] >= 30
-        assert routes[False, False] >= 50 and routes[False, True] >= 25
+            full = intmat._det_minor(sd.colors.entries, sd.rank)[0] == sd.rank
+            classes[full, bool(flagged(report.validation))] += 1
+        # colors of full rank and deficient ones, with and without a failed
+        # span check
+        assert classes[True, False] >= 100 and classes[True, True] >= 30
+        assert classes[False, False] >= 50 and classes[False, True] >= 25
 
     @pytest.mark.parametrize("series, n", [("A", 8), ("B", 4), ("D", 6), ("E", 7)])
     def test_group_case_twins(self, series, n):
         # colors 2C: every pivot of the basis is above 1, and the coroots
-        # that it leaves out are named as the Smith route names them
+        # that it leaves out are named as the reference names them
         twin = group_case(series, n, factor=2)
-        assert intmat._det_minor(twin.colors.entries, n) == 2**n * abs(
-            det(cartan_matrix(series, n))
+        assert intmat._det_minor(twin.colors.entries, n) == (
+            n,
+            2**n * abs(det(cartan_matrix(series, n))),
         )
         assert flagged(full_report(twin).validation) == reference_outside(twin)
 
