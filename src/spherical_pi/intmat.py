@@ -10,18 +10,20 @@ The pipeline asks only for what it reads: ``dual_saturation`` takes
 only by the independent verification route, :mod:`spherical_pi.verify`.
 
 The report reads its quotients and the coroot-span check off Hermite
-bases.  ``_det_minor`` finds the rank k of a matrix and the determinant
-of a nonsingular k x k row minor by a fraction-free elimination, and
-``_hermite_mod`` computes the Hermite basis of ``L(rows) + d Z^n``, for
-d a multiple of that minor, with every entry kept below d (Cohen, GTM
-138, Alg. 2.4.8; Domich, Kannan and Trotter 1987).  At full rank, with
-d a multiple of the index, that lattice is the row lattice itself.
+bases.  ``_echelon`` finds the rank k of a matrix and the determinant
+of a nonsingular k x k row minor by a fraction-free elimination,
+``_outside_span`` carries other rows through its steps to find those
+outside its row space over Q, and ``_hermite_mod`` computes the Hermite
+basis of ``L(rows) + d Z^n``, for d a multiple of that minor, with
+every entry kept below d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan
+and Trotter 1987).  At full rank, with d a multiple of the index, that
+lattice is the row lattice itself.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
 elimination over ``Z/_P`` with ``_P = 2**61 - 1``.  The rank mod ``_P``
 is never above the rank over Q, so a full rank mod ``_P`` proves full
-rank.  Any other result falls back to ``_det_minor``, whose rank is
+rank.  Any other result falls back to ``_echelon``, whose rank is
 exact.
 
 Matrices the package builds itself (normal forms and their
@@ -417,8 +419,34 @@ def _lead(row: Sequence[int], s: int) -> int | None:
     return row.index(x) + s if x else None
 
 
-def _det_minor(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int]:
-    """The rank k of ``rows`` and ``|det|`` of a nonsingular k x k minor, 1 at k = 0.
+_Elimination = tuple[list[int], dict[int, int], list[Sequence[int]]]  # see _echelon
+
+
+def _carry(
+    row: Sequence[int], c: int, s: int, elimination: _Elimination
+) -> tuple[Sequence[int], int, int, int | None]:
+    """Carry ``row``, its entries from column c on up to date to step s,
+    through the steps of :func:`_echelon` so far.
+
+    Only the steps at the pivot column of its first nonzero entry are
+    taken; those it skips would only scale it by ``p_t / p_{t-1}``, and
+    the ``p_{t-1} / p_{s-1}`` that steps s to t - 1 owe it is paid at
+    the next step t that it takes.  Returns the row, c, s and the column
+    of its first nonzero entry, which has no pivot, or None.
+    """
+    p, steps, tails = elimination
+    while (j := _lead(row, c)) is not None and (t := steps.get(j)) is not None:
+        a, row = row[j - c], row[j - c + 1 :]
+        if t > s:
+            a, row = a * p[t] // p[s], [x * p[t] // p[s] for x in row]
+        row = [(p[t + 1] * x - a * y) // p[t] for x, y in zip(row, tails[t])]
+        c, s = j + 1, t + 1
+    return row, c, s, j
+
+
+def _echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int, _Elimination]:
+    """The rank k of ``rows``, ``|det|`` of a nonsingular k x k minor (1 at
+    k = 0) and the elimination that found them, for :func:`_outside_span`.
 
     Fraction-free (Bareiss) elimination with row pivoting: a column where
     no remaining row is nonzero takes no step, and step t takes the first
@@ -428,43 +456,41 @@ def _det_minor(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int]:
     = 1``.  ``|p_{k-1}|`` is the determinant of the minor on the pivot
     rows and columns, a multiple of the k-th determinantal divisor.
 
-    A row is brought up to date only when a step reads it, which is
-    when the search for a pivot reaches it.  Steps at which it has 0 in
-    the pivot column would only scale it by ``p_t / p_{t-1}``; they are
-    skipped, and the ``p_{t-1} / p_{s-1}`` that steps s to t - 1 owe it is
-    paid at the next step t that updates it, or when it becomes the pivot.
+    A row is brought up to date by :func:`_carry` only when the search
+    for a pivot reaches it.
     """
     p = [1]  # p[t] = p_{t-1}
-    cols: list[int] = []  # c_t
+    steps: dict[int, int] = {}  # t at c_t
     tails: list[Sequence[int]] = []  # the pivot row of step t, from column c_t + 1 on
+    elimination = (p, steps, tails)
     # each remaining row as its entries from column c on, c, and the step
     # s it is up to date to
     work = [(row, 0, 0) for row in rows]
     for j in range(n):
-        k = len(cols)
         for i, (row, c, s) in enumerate(work):
-            for t in range(s, k):
-                if not row[cols[t] - c]:
-                    continue
-                row = row[cols[t] - c :]
-                if t > s:
-                    row = [x * p[t] // p[s] for x in row]
-                a = row[0]
-                row = [(p[t + 1] * x - a * y) // p[t] for x, y in zip(row[1:], tails[t])]
-                c, s = cols[t] + 1, t + 1
+            row, c, s, lead = _carry(row, c, s, elimination)
             work[i] = (row, c, s)
-            if row[j - c]:
+            if lead == j:
                 break
         else:
             continue
         del work[i]
+        k = len(tails)
         row = row[j - c :]
         if k > s:
             row = [x * p[k] // p[s] for x in row]
         p.append(row[0])
-        cols.append(j)
+        steps[j] = k
         tails.append(row[1:])
-    return len(cols), abs(p[-1])
+    return len(tails), abs(p[-1]), elimination
+
+
+def _outside_span(elimination: _Elimination, probes: Sequence[Sequence[int]]) -> list[int]:
+    """The indices of the ``probes`` outside the row space over Q of the
+    rows that :func:`_echelon` eliminated: those that :func:`_carry`
+    leaves with a nonzero entry, at a column without a pivot."""
+    carried = (_carry(row, 0, 0, elimination) for row in probes)
+    return [i for i, (*_, lead) in enumerate(carried) if lead is not None]
 
 
 def _hermite_mod(
@@ -559,6 +585,6 @@ def _full_column_rank(m: IntMatrix) -> bool:
     """Whether the columns of ``m`` are independent over Q.
 
     A full rank mod ``_P`` proves it; any other result is settled by the
-    exact fraction-free elimination of :func:`_det_minor`.
+    exact fraction-free elimination of :func:`_echelon`.
     """
-    return _rank_mod(m) == m.cols or _det_minor(m.entries, m.cols)[0] == m.cols
+    return _rank_mod(m) == m.cols or _echelon(m.entries, m.cols)[0] == m.cols

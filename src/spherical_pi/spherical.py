@@ -33,9 +33,10 @@ from .arith import _check_char_exponent, _check_count
 from .intmat import (
     DimensionError,
     IntMatrix,
-    _det_minor,
+    _echelon,
     _full_column_rank,
     _hermite_mod,
+    _outside_span,
     snf,
     stack_rows,
 )
@@ -350,53 +351,39 @@ def _hermite_quotient(
     return FinGenAbQuotient(divisible_rank, factors[: len(factors) - divisible_rank])
 
 
-def _outside_row_space(sd: SphericalDatum, rank: int) -> list[int]:
-    """The restricted coroots c outside the row space of the colors over Q,
-    where ``[F; c]`` has a rank above ``rank``, that of F.
-
-    Data that pass the check cost one elimination, of F and every c, and
-    a torus costs none.
-    """
-    restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
-    colors = sd.colors.entries
-    if not restricted or _det_minor(colors + restricted, sd.rank)[0] == rank:
-        return []
-    return [
-        i for i, c in enumerate(restricted) if _det_minor(colors + (c,), sd.rank)[0] > rank
-    ]
-
-
 def _core(
     sd: SphericalDatum,
 ) -> tuple[FinGenAbQuotient, FinGenAbQuotient, tuple[CheckOutcome, ...]]:
     """The characteristic-free core of ``sd``, computed on first use.
 
     It holds the two quotients and the p-free check outcomes.
-    ``_det_minor`` gives the rank k of the colors F and a k x k minor d;
+    ``_echelon`` gives the rank k of the colors F and a k x k minor d;
     below full rank, d is raised to a multiple of the index of L([F; E]),
-    which has full rank because E has.  The Hermite basis H of ``L(F) +
-    d Z^r`` gives the color quotient: its torsion, whose exponent divides
-    d, and ``r - k`` factors d for its divisible directions.  ``L([F;
-    E])`` contains ``d Z^r``, so it is the lattice of ``[H; E]``, whose
-    Hermite basis mod the gcd of ``det H`` and d gives the ambient
-    quotient.  A restricted coroot lies in L(F) exactly when it divides
-    down H and lies in the row space of F, which ``L(F) + d Z^r`` meets
-    in L(F).
+    a nonsingular r x r minor of E, which has full column rank.  The
+    Hermite basis H of ``L(F) + d Z^r`` gives the color quotient: its
+    torsion, whose exponent divides d, and ``r - k`` factors d for its
+    divisible directions.  ``L([F; E])`` contains ``d Z^r``, so it is the
+    lattice of ``[H; E]``, whose Hermite basis mod the gcd of ``det H``
+    and d gives the ambient quotient.  A restricted coroot lies in L(F)
+    exactly when it divides down H and lies in the row space of F, which
+    ``L(F) + d Z^r`` meets in L(F); ``_outside_span`` carries it through
+    the elimination of F.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
         colors = sd.colors.entries
         embedding = sd.lattice_embedding.entries
         r = sd.rank
-        k, d = _det_minor(colors, r)
+        k, d, elimination = _echelon(colors, r)
         if k < r:
-            d = lcm(d, _det_minor(colors + embedding, r)[1])
+            d = lcm(d, _echelon(embedding, r)[1])
         basis = _hermite_mod(colors, r, d, k)
         index = prod(row[j] for j, row in enumerate(basis))
         ambient = _hermite_mod(basis + list(embedding), r, gcd(index, d), r)
         outside = _outside_hermite(sd, basis)
-        if k < r:
-            outside = sorted({*outside, *_outside_row_space(sd, k)})
+        if k < r and sd.root_datum.simple_coroots:
+            restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
+            outside = sorted({*outside, *_outside_span(elimination, restricted)})
         quotients = (_hermite_quotient(basis, r - k), _hermite_quotient(ambient))
         core.append(quotients + (_checks(sd, outside),))
     return core[0]
@@ -409,8 +396,8 @@ def full_report(sd: SphericalDatum) -> Report:
     ambient one and the embedding-rank and coroot-span outcomes.  It
     costs one determinant (two below full column rank), two Hermite bases
     taken mod a determinant and two certificate-free Smith forms of their
-    blocks with pivots above 1; below full column rank, the coroots take
-    an exact rank test, one per coroot when some coroot fails it.  pi1 and
+    blocks with pivots above 1; below full column rank, each coroot also
+    takes the steps of the elimination of the colors.  pi1 and
     pi0 are the p'-parts of the two quotients.  A failed coroot-span check
     is a warning in ``validation``.
 

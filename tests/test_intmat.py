@@ -13,9 +13,10 @@ from spherical_pi.intmat import (
     _P,
     DimensionError,
     IntMatrix,
-    _det_minor,
+    _echelon,
     _full_column_rank,
     _hermite_mod,
+    _outside_span,
     _rank_mod,
     snf,
     stack_rows,
@@ -698,12 +699,12 @@ def kernel_inputs():
 
 
 class TestHermiteMod:
-    """``_det_minor`` and ``_hermite_mod`` against ``snf``, ``verify.hnf`` and Q."""
+    """``_echelon`` and ``_hermite_mod`` against ``snf``, ``verify.hnf`` and Q."""
 
     def test_det_minor_against_the_index_and_an_elimination_over_q(self):
         verdicts = Counter()
         for m in kernel_inputs():
-            k, d = _det_minor(m.entries, m.cols)
+            k, d = _echelon(m.entries, m.cols)[:2]
             index = index_of(m)
             assert (k, d) == first_minor_det(m.entries, m.cols)
             full = k == m.cols
@@ -727,7 +728,7 @@ class TestHermiteMod:
         rng = random.Random("hermite-mod moduli")
         checked = 0
         for m in kernel_inputs():
-            k, d = _det_minor(m.entries, m.cols)
+            k, d = _echelon(m.entries, m.cols)[:2]
             if k < m.cols:
                 continue
             index = index_of(m)
@@ -751,7 +752,7 @@ class TestHermiteMod:
             n = rng.randint(1, 8)
             while True:
                 f = sparse_matrix(rng, rng.randint(n, n + 3), n, 1, rng.choice((3, 20)))
-                k, d = _det_minor(f.entries, n)
+                k, d = _echelon(f.entries, n)[:2]
                 if k == n:
                     break
             h = _hermite_mod(f.entries, n, d, n)
@@ -762,16 +763,16 @@ class TestHermiteMod:
             assert got == hermite_reference(both)
 
     def test_edge_shapes(self):
-        assert _det_minor((), 0) == (0, 1) and _hermite_mod((), 0, 1, 0) == []
-        assert _det_minor(((),), 0) == (0, 1)
-        assert _det_minor((), 2) == (0, 1)
-        assert _det_minor(((0, 0), (0, 0), (0, 0)), 2) == (0, 1)
-        assert _det_minor(((0, 3), (0, 5), (2, 7)), 2) == (2, 6)
+        assert _echelon((), 0)[:2] == (0, 1) and _hermite_mod((), 0, 1, 0) == []
+        assert _echelon(((),), 0)[:2] == (0, 1)
+        assert _echelon((), 2)[:2] == (0, 1)
+        assert _echelon(((0, 0), (0, 0), (0, 0)), 2)[:2] == (0, 1)
+        assert _echelon(((0, 3), (0, 5), (2, 7)), 2)[:2] == (2, 6)
         assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6, 2) == [[2, 0], [0, 1]]
         # an entry that is a multiple of the modulus counts as zero
         assert _hermite_mod(((12, 7), (0, 1)), 2, 12, 2) == [[12, 0], [0, 1]]
         # a column without a pivot takes no step
-        assert _det_minor(((0, 3, 1), (0, 6, 5), (0, 9, 6)), 3) == (2, 9)
+        assert _echelon(((0, 3, 1), (0, 6, 5), (0, 9, 6)), 3)[:2] == (2, 9)
         assert _hermite_mod((), 2, 5, 0) == [[5, 0], [0, 5]]
         assert _hermite_mod(((0, 0),), 2, 1, 0) == [[1, 0], [0, 1]]
         assert _hermite_mod(((0, 3, 1),), 3, 1, 1) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -806,7 +807,7 @@ def in_lattice(basis, v):
 
 
 class TestRankRevealing:
-    """``_det_minor`` below full rank and ``_hermite_mod`` of ``L(rows) + d Z^n``."""
+    """``_echelon`` below full rank and ``_hermite_mod`` of ``L(rows) + d Z^n``."""
 
     def test_det_minor_gives_the_rank_and_a_multiple_of_the_divisor(self):
         rng = random.Random("rank-revealing")
@@ -814,7 +815,7 @@ class TestRankRevealing:
         cases = [deficient_case(rng, i) for i in range(400)]
         cases += [(m.entries, m.cols) for m in kernel_inputs()]
         for rows, n in cases:
-            k, d = _det_minor(rows, n)
+            k, d = _echelon(rows, n)[:2]
             res = snf(mat(rows, cols=n), with_u=False, with_v=False)
             assert k == res.rank
             assert d >= 1 and d % math.prod(res.diagonal()[:k]) == 0
@@ -829,7 +830,7 @@ class TestRankRevealing:
         checked = Counter()
         for i in range(240):
             rows, n = deficient_case(rng, i)
-            rank, minor = _det_minor(rows, n)
+            rank, minor = _echelon(rows, n)[:2]
             diagonal = snf(mat(rows, cols=n), with_u=False, with_v=False).diagonal()
             for d in {1, rng.randint(2, 40), minor, minor * rng.randint(2, 9)}:
                 gens = rows + [[d * (i == j) for j in range(n)] for i in range(n)]
@@ -850,6 +851,33 @@ class TestRankRevealing:
                 assert all(in_lattice(bases[0], row) for row in gens)
         assert checked[True, True] >= 100 and checked[False, True] >= 100
         assert checked[True, False] >= 50
+
+    def test_outside_span_against_the_rank_of_each_stacked_probe(self):
+        # probes in the row space over Q (combinations, one of them with a
+        # denominator), a unit vector at each column and random vectors
+        rng = random.Random("outside-span")
+        seen = Counter()
+        for i in range(300):
+            rows, n = deficient_case(rng, i)
+            rank, _, elimination = _echelon(rows, n)
+            probes = [[int(i == j) for j in range(n)] for i in range(n)]
+            probes.append([rng.randint(-9, 9) for _ in range(n)])
+            for _ in range(3 if rows else 0):
+                q = [rng.randint(-3, 3) for _ in rows]
+                probes.append([sum(c * x for c, x in zip(q, col)) for col in zip(*rows)])
+            if rows and (g := math.gcd(*rows[0])) > 1:
+                probes.append([x // g for x in rows[0]])
+            want = []
+            for t, probe in enumerate(probes):
+                stacked = snf(mat(rows + [probe], cols=n), with_u=False, with_v=False)
+                if stacked.rank > rank:
+                    want.append(t)
+            assert _outside_span(elimination, probes) == want
+            seen[bool(want), len(want) < len(probes)] += 1
+        assert all(seen[key] >= 40 for key in ((True, True), (False, True), (True, False)))
+        assert _outside_span(_echelon((), 0)[2], [(), ()]) == []
+        elimination = _echelon(((0, 3, 1),), 3)[2]
+        assert _outside_span(elimination, [(0, 6, 2), (1, 0, 0)]) == [1]
 
     def test_a_dropped_tail_is_taken_back(self):
         # rows (2, 1) at rank 1 with d = 4: m = 16 and R = 4 at column 0,

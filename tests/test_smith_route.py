@@ -147,13 +147,14 @@ class TestSpanCheckAgainstReference:
         # holds (1, 0): only the row-space test flags the coroot
         sd = a1_with_central_torus([[0, 1]])
         assert reference_outside(sd) == flagged(validate(sd)) == [0]
-        monkeypatch.setattr(spherical, "_outside_row_space", lambda sd, rank: [])
+        monkeypatch.setattr(spherical, "_outside_span", lambda elimination, probes: [])
         assert flagged(validate(a1_with_central_torus([[0, 1]]))) == []
 
     def test_deficient_colors_in_the_row_space_outside_the_lattice(self):
         # (1, 0) is half of the color (2, 0): in its row space, not in L(F)
         sd = a1_with_central_torus([[2, 0]])
-        assert spherical._outside_row_space(sd, 1) == []
+        elimination = intmat._echelon(sd.colors.entries, 2)[2]
+        assert intmat._outside_span(elimination, ((1, 0),)) == []
         assert reference_outside(sd) == flagged(validate(sd)) == [0]
 
     def test_deficient_colors_holding_the_coroot(self):
@@ -165,8 +166,9 @@ class TestSpanCheckAgainstReference:
 
 
 MOD_P = "_rank_mod"
-DET = "_det_minor"
+DET = "_echelon"
 HNF = "_hermite_mod"
+SPAN = "_outside_span"
 
 
 def record_snf(monkeypatch, requests=None):
@@ -174,9 +176,10 @@ def record_snf(monkeypatch, requests=None):
 
     Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
     a new caller cannot escape the count.  ``intmat._rank_mod``,
-    ``intmat._det_minor`` and ``intmat._hermite_mod`` are patched alike,
-    and their calls go to the same list as ``(MOD_P, rows, cols)``,
-    ``(DET, rows, cols)`` and ``(HNF, rows, cols)``.
+    ``intmat._echelon``, ``intmat._hermite_mod`` and ``intmat._outside_span``
+    are patched alike, and their calls go to the same list as ``(MOD_P,
+    rows, cols)``, ``(DET, rows, cols)``, ``(HNF, rows, cols)`` and
+    ``(SPAN, probes)``.
 
     ``requests``, when given, collects the certificate keywords
     ``(with_u, with_v)`` of every call to snf.
@@ -194,7 +197,7 @@ def record_snf(monkeypatch, requests=None):
         calls.append((MOD_P, m.rows, m.cols))
         return real(m)
 
-    def counting_det(rows, n, real=intmat._det_minor):
+    def counting_det(rows, n, real=intmat._echelon):
         calls.append((DET, len(rows), n))
         return real(rows, n)
 
@@ -202,11 +205,16 @@ def record_snf(monkeypatch, requests=None):
         calls.append((HNF, len(rows), n))
         return real(rows, n, d, k)
 
+    def counting_span(elimination, probes, real=intmat._outside_span):
+        calls.append((SPAN, len(probes)))
+        return real(elimination, probes)
+
     patches = {
         "snf": (real, counting),
         "_rank_mod": (intmat._rank_mod, counting_mod),
-        "_det_minor": (intmat._det_minor, counting_det),
+        "_echelon": (intmat._echelon, counting_det),
         "_hermite_mod": (intmat._hermite_mod, counting_hnf),
+        "_outside_span": (intmat._outside_span, counting_span),
     }
     for name, module in list(sys.modules.items()):
         if name == "spherical_pi" or name.startswith("spherical_pi."):
@@ -290,29 +298,50 @@ class TestSnfBudget:
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 3)
-        # fewer colors than columns: rank 2 and a minor 6, raised to 36 by
-        # the minor of [F; E].  The basis of L(F) + 36 Z^3 has pivots 2, 3
-        # and 36, and the embedding makes the ambient basis I
+        # fewer colors than columns: rank 2 and a minor 6, raised to 12 by
+        # det E = 4.  The basis of L(F) + 12 Z^3 has pivots 2, 3 and 12, and
+        # the embedding makes the ambient basis I
         assert snf_shapes(monkeypatch, full_report, sd) == [
             (DET, 2, 3),
-            (DET, 5, 3),
+            (DET, 3, 3),
             (HNF, 2, 3),
             (HNF, 6, 3),
             (3, 3),
             (0, 0),
         ]
 
-    def test_deficient_colors_with_coroots_add_one_rank_test(self, monkeypatch):
-        # the rank of [F; C] settles every coroot of data that pass the check
-        sd = a1_with_central_torus([[1, 0]])
-        assert snf_shapes(monkeypatch, full_report, sd) == [
-            (DET, 1, 2),
-            (DET, 3, 2),
-            (HNF, 1, 2),
-            (HNF, 4, 2),
-            (DET, 2, 2),
-            (0, 0),
-            (0, 0),
+    @pytest.mark.parametrize("colors", [[[1, 0]], [[0, 1]], [[2, 0]]])
+    def test_deficient_colors_carry_the_coroots_through_one_elimination(
+        self, monkeypatch, colors
+    ):
+        # the coroots take the steps of the elimination that found the rank
+        # of F, whether they pass the check or fail it
+        sd = a1_with_central_torus(colors)
+        calls = snf_shapes(monkeypatch, full_report, sd)
+        kernels = [c for c in calls if isinstance(c[0], str)]
+        assert kernels == [(DET, 1, 2), (DET, 2, 2), (HNF, 1, 2), (HNF, 4, 2), (SPAN, 1)]
+
+    @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5)])
+    def test_failing_deficient_group_case_eliminates_the_colors_once(
+        self, monkeypatch, series, n
+    ):
+        # n - 1 of the n Cartan rows as colors leave coroots outside their
+        # row space; none of the 2n coroots takes an elimination of its own
+        sd = group_case(series, n)
+        sd = dataclasses.replace(
+            sd, colors=IntMatrix.from_rows(sd.colors.entries[: n - 1])
+        )
+        want = reference_outside(sd)
+        assert want
+        calls = record_snf(monkeypatch)
+        assert flagged(full_report(sd).validation) == want
+        kernels = [c for c in calls if isinstance(c[0], str)]
+        assert kernels == [
+            (DET, n - 1, n),
+            (DET, 2 * n, n),
+            (HNF, n - 1, n),
+            (HNF, 3 * n, n),
+            (SPAN, 2 * n),
         ]
 
     def test_every_entry_point_reads_one_core(self, monkeypatch):
@@ -570,7 +599,7 @@ class TestHermiteRouteAgainstSmith:
             want = direct_ambient_quotient(sd)
             assert report.ambient_saturation_quotient == want, draw
             assert flagged(report.validation) == reference_outside(sd), draw
-            full = intmat._det_minor(sd.colors.entries, sd.rank)[0] == sd.rank
+            full = intmat._echelon(sd.colors.entries, sd.rank)[0] == sd.rank
             classes[full, bool(flagged(report.validation))] += 1
         # colors of full rank and deficient ones, with and without a failed
         # span check
@@ -582,7 +611,7 @@ class TestHermiteRouteAgainstSmith:
         # colors 2C: every pivot of the basis is above 1, and the coroots
         # that it leaves out are named as the reference names them
         twin = group_case(series, n, factor=2)
-        assert intmat._det_minor(twin.colors.entries, n) == (
+        assert intmat._echelon(twin.colors.entries, n)[:2] == (
             n,
             2**n * abs(det(cartan_matrix(series, n))),
         )
