@@ -17,7 +17,8 @@ outside its row space over Q, and ``_hermite_mod`` computes the Hermite
 basis of ``L(rows) + d Z^n``, for d a multiple of that minor, with
 every entry kept below d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan
 and Trotter 1987).  At full rank, with d a multiple of the index, that
-lattice is the row lattice itself.
+lattice is the row lattice itself.  ``_outside_lattice`` divides other
+rows down such a basis to find those outside its lattice.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
@@ -491,6 +492,36 @@ def _outside_span(elimination: _Elimination, probes: Sequence[Sequence[int]]) ->
     leaves with a nonzero entry, at a column without a pivot."""
     carried = (_carry(row, 0, 0, elimination) for row in probes)
     return [i for i, (*_, lead) in enumerate(carried) if lead is not None]
+
+
+def _outside_lattice(
+    basis: Sequence[Sequence[int]], probes: Sequence[Sequence[int]]
+) -> list[int]:
+    """The indices of the ``probes`` outside the lattice of ``basis``, an
+    upper-triangular n x n matrix with a positive diagonal.
+
+    Each probe c is divided down the basis: at column j, ``q, rem =
+    divmod(c_j, h_jj)``, a remainder puts c outside, and otherwise q times
+    row j is taken away along its nonzero entries, which leaves c with a 0
+    at j.  Nothing is assumed of the entries above the pivots.
+    """
+    # each row as its pivot and its nonzero entries right of it
+    rows = [
+        (row[j], [(t, x) for t, x in enumerate(row[j + 1 :], j + 1) if x])
+        for j, row in enumerate(basis)
+    ]
+    outside = []
+    for i, c in enumerate(probes):
+        c = list(c)
+        for j, (h, tail) in enumerate(rows):
+            if c[j]:
+                q, rem = divmod(c[j], h)
+                if rem:
+                    outside.append(i)
+                    break
+                for t, x in tail:
+                    c[t] -= q * x
+    return outside
 
 
 def _hermite_mod(

@@ -96,8 +96,6 @@ def _walk(functionals: IntMatrix, modulus: int) -> list[tuple[int, ...]]:
     left every point is a solution.
     """
     r = functionals.cols
-    if r == 0:
-        return [()]
     if r == 1:
         step = modulus // gcd(modulus, *functionals.column(0))
         return [(a,) for a in range(0, modulus, step)]

@@ -18,7 +18,8 @@ datum and the copies :meth:`SphericalDatum.with_char_exponent` makes of
 it share that core: the two quotients and the p-free check outcomes.
 The first call that reads it fills it, and a report at another p only
 projects it.  The core is read off Hermite bases taken modulo a
-determinant, with no certificate, for colors of any rank (see
+determinant, with no certificate, for colors of any rank, and the
+restricted coroots are divided down the colors' basis (see
 :func:`_core`).  Every public entry point that returns a quotient, a pi
 or a check outcome projects that core.
 """
@@ -36,6 +37,7 @@ from .intmat import (
     _echelon,
     _full_column_rank,
     _hermite_mod,
+    _outside_lattice,
     _outside_span,
     snf,
     stack_rows,
@@ -233,44 +235,6 @@ def _checks(sd: SphericalDatum, outside: list[int]) -> tuple[CheckOutcome, ...]:
     return tuple(outcomes)
 
 
-def _outside_hermite(sd: SphericalDatum, basis: list[list[int]]) -> list[int]:
-    """The restricted coroots outside L(F), divided down its Hermite basis H.
-
-    A restricted coroot c lies in L(F) exactly when, for j = 0, 1, ...,
-    entry j of what is left of c is a multiple q of ``h_jj``, which then
-    takes away q times row j.  Column j of H is e_j where ``h_jj = 1``, so
-    such a row j is nonzero only at j and at the columns K with ``h_kk >
-    1``, and its q is ``c_j`` itself.  Those steps leave ``c W`` on K,
-    where column k of W is e_k less the entries of column k of H in the
-    rows outside K; it is then divided down the rows K of H.
-    """
-    if not sd.root_datum.simple_coroots:  # a torus: nothing to divide
-        return []
-    kept = [j for j, row in enumerate(basis) if row[j] > 1]
-    w = IntMatrix._trusted(
-        sd.rank,
-        len(kept),
-        tuple(
-            tuple(int(j == k) if row[j] > 1 else -row[k] for k in kept)
-            for j, row in enumerate(basis)
-        ),
-    )
-    # the coroots restricted to the weight lattice, then W, in the order
-    # that keeps the products small
-    left = sd.root_datum.coroot_matrix() @ (sd.lattice_embedding @ w)
-    outside = []
-    for i, c in enumerate(left.entries):
-        for t, k in enumerate(kept):
-            q, rem = divmod(c[t], basis[k][k])
-            if rem:
-                outside.append(i)
-                break
-            if q:
-                row = basis[k]
-                c = c[:t] + tuple(x - q * row[k2] for x, k2 in zip(c[t:], kept[t:]))
-    return outside
-
-
 def color_saturation(sd: SphericalDatum) -> tuple[SaturatedSet, FinGenAbQuotient]:
     """Fractional weights on which every color functional is integral.
 
@@ -366,8 +330,10 @@ def _core(
     lattice of ``[H; E]``, whose Hermite basis mod the gcd of ``det H``
     and d gives the ambient quotient.  A restricted coroot lies in L(F)
     exactly when it divides down H and lies in the row space of F, which
-    ``L(F) + d Z^r`` meets in L(F); ``_outside_span`` carries it through
-    the elimination of F.
+    ``L(F) + d Z^r`` meets in L(F).  The coroot matrix is multiplied by E
+    once, when the datum has coroots, and both readers take those rows:
+    ``_outside_lattice`` divides them down H and, below full rank,
+    ``_outside_span`` carries them through the elimination of F.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
@@ -380,10 +346,12 @@ def _core(
         basis = _hermite_mod(colors, r, d, k)
         index = prod(row[j] for j, row in enumerate(basis))
         ambient = _hermite_mod(basis + list(embedding), r, gcd(index, d), r)
-        outside = _outside_hermite(sd, basis)
-        if k < r and sd.root_datum.simple_coroots:
+        outside = []
+        if sd.root_datum.simple_coroots:
             restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
-            outside = sorted({*outside, *_outside_span(elimination, restricted)})
+            outside = _outside_lattice(basis, restricted)
+            if k < r:
+                outside = sorted({*outside, *_outside_span(elimination, restricted)})
         quotients = (_hermite_quotient(basis, r - k), _hermite_quotient(ambient))
         core.append(quotients + (_checks(sd, outside),))
     return core[0]
@@ -396,8 +364,10 @@ def full_report(sd: SphericalDatum) -> Report:
     ambient one and the embedding-rank and coroot-span outcomes.  It
     costs one determinant (two below full column rank), two Hermite bases
     taken mod a determinant and two certificate-free Smith forms of their
-    blocks with pivots above 1; below full column rank, each coroot also
-    takes the steps of the elimination of the colors.  pi1 and
+    blocks with pivots above 1.  The coroots are restricted by one
+    product, and each is divided down the colors' basis; below full
+    column rank, each also takes the steps of the elimination of the
+    colors.  pi1 and
     pi0 are the p'-parts of the two quotients.  A failed coroot-span check
     is a warning in ``validation``.
 

@@ -16,6 +16,7 @@ from spherical_pi.intmat import (
     _echelon,
     _full_column_rank,
     _hermite_mod,
+    _outside_lattice,
     _outside_span,
     _rank_mod,
     snf,
@@ -878,6 +879,42 @@ class TestRankRevealing:
         assert _outside_span(_echelon((), 0)[2], [(), ()]) == []
         elimination = _echelon(((0, 3, 1),), 3)[2]
         assert _outside_span(elimination, [(0, 6, 2), (1, 0, 0)]) == [1]
+
+    def test_outside_lattice_against_solve_in_lattice(self):
+        # bases from _hermite_mod at full rank and below it, and upper-
+        # triangular ones left unreduced above their pivots; probes in the
+        # lattice (zero, combinations of the rows) and maybe outside it
+        # (unit vectors, a row divided by its content)
+        rng = random.Random("outside-lattice")
+        seen = Counter()
+        for i in range(300):
+            rows, n = deficient_case(rng, i)
+            rank, minor = _echelon(rows, n)[:2]
+            hermite = _hermite_mod(rows, n, minor * rng.randint(1, 4), rank)
+            unreduced = [
+                [0] * j + [rng.randint(1, 6)] + [rng.randint(-30, 30) for _ in range(j + 1, n)]
+                for j in range(n)
+            ]
+            kinds = (("hermite", rank == n), ("unreduced", False))
+            for basis, kind in zip((hermite, unreduced), kinds):
+                probes = [[0] * n] + [[int(i == j) for j in range(n)] for i in range(n)]
+                for generators in (rows, basis):
+                    for _ in range(2 if generators else 0):
+                        q = [rng.randint(-3, 3) for _ in generators]
+                        columns = zip(*generators)
+                        probes.append([sum(c * x for c, x in zip(q, col)) for col in columns])
+                    for row in generators[:1]:
+                        if (g := math.gcd(*row)) > 1:
+                            probes.append([x // g for x in row])
+                want = [t for t, probe in enumerate(probes) if not in_lattice(basis, probe)]
+                assert _outside_lattice(basis, probes) == want
+                seen[kind, bool(want)] += 1
+        for kind in (("hermite", True), ("hermite", False), ("unreduced", False)):
+            assert seen[kind, True] >= 20 and seen[kind, False] >= 20, seen
+        assert _outside_lattice([], [(), ()]) == []
+        # (2, 5) is unreduced above the pivot 3; (2, 0) leaves -5 at column 1
+        probes = [(2, 5), (2, 8), (0, 3), (2, 0), (1, 0)]
+        assert _outside_lattice([[2, 5], [0, 3]], probes) == [3, 4]
 
     def test_a_dropped_tail_is_taken_back(self):
         # rows (2, 1) at rank 1 with d = 4: m = 16 and R = 4 at column 0,

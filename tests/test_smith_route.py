@@ -168,6 +168,7 @@ class TestSpanCheckAgainstReference:
 MOD_P = "_rank_mod"
 DET = "_echelon"
 HNF = "_hermite_mod"
+LATTICE = "_outside_lattice"
 SPAN = "_outside_span"
 
 
@@ -176,10 +177,10 @@ def record_snf(monkeypatch, requests=None):
 
     Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
     a new caller cannot escape the count.  ``intmat._rank_mod``,
-    ``intmat._echelon``, ``intmat._hermite_mod`` and ``intmat._outside_span``
-    are patched alike, and their calls go to the same list as ``(MOD_P,
-    rows, cols)``, ``(DET, rows, cols)``, ``(HNF, rows, cols)`` and
-    ``(SPAN, probes)``.
+    ``intmat._echelon``, ``intmat._hermite_mod``, ``intmat._outside_lattice``
+    and ``intmat._outside_span`` are patched alike, and their calls go to
+    the same list as ``(MOD_P, rows, cols)``, ``(DET, rows, cols)``,
+    ``(HNF, rows, cols)``, ``(LATTICE, probes)`` and ``(SPAN, probes)``.
 
     ``requests``, when given, collects the certificate keywords
     ``(with_u, with_v)`` of every call to snf.
@@ -205,6 +206,10 @@ def record_snf(monkeypatch, requests=None):
         calls.append((HNF, len(rows), n))
         return real(rows, n, d, k)
 
+    def counting_lattice(basis, probes, real=intmat._outside_lattice):
+        calls.append((LATTICE, len(probes)))
+        return real(basis, probes)
+
     def counting_span(elimination, probes, real=intmat._outside_span):
         calls.append((SPAN, len(probes)))
         return real(elimination, probes)
@@ -214,6 +219,7 @@ def record_snf(monkeypatch, requests=None):
         "_rank_mod": (intmat._rank_mod, counting_mod),
         "_echelon": (intmat._echelon, counting_det),
         "_hermite_mod": (intmat._hermite_mod, counting_hnf),
+        "_outside_lattice": (intmat._outside_lattice, counting_lattice),
         "_outside_span": (intmat._outside_span, counting_span),
     }
     for name, module in list(sys.modules.items()):
@@ -236,11 +242,19 @@ def hermite_route(n, kept):
 
     The determinant of a minor of the n x n colors, their Hermite basis
     mod it, the basis of that stacked on the 2n rows of the embedding
-    [I; -I] mod its own determinant, and the Smith forms of the two bases
-    on their pivots above 1: ``kept`` of them, and none for the ambient
-    basis, which the embedding makes I.
+    [I; -I] mod its own determinant, the 2n restricted coroots divided
+    down the colors' basis, and the Smith forms of the two bases on their
+    pivots above 1: ``kept`` of them, and none for the ambient basis,
+    which the embedding makes I.
     """
-    return [(DET, n, n), (HNF, n, n), (HNF, 3 * n, n), (kept, kept), (0, 0)]
+    return [
+        (DET, n, n),
+        (HNF, n, n),
+        (HNF, 3 * n, n),
+        (LATTICE, 2 * n),
+        (kept, kept),
+        (0, 0),
+    ]
 
 
 class TestSnfBudget:
@@ -314,12 +328,20 @@ class TestSnfBudget:
     def test_deficient_colors_carry_the_coroots_through_one_elimination(
         self, monkeypatch, colors
     ):
-        # the coroots take the steps of the elimination that found the rank
-        # of F, whether they pass the check or fail it
+        # the coroot is divided down the basis and takes the steps of the
+        # elimination that found the rank of F, whether it passes the check
+        # or fails it
         sd = a1_with_central_torus(colors)
         calls = snf_shapes(monkeypatch, full_report, sd)
         kernels = [c for c in calls if isinstance(c[0], str)]
-        assert kernels == [(DET, 1, 2), (DET, 2, 2), (HNF, 1, 2), (HNF, 4, 2), (SPAN, 1)]
+        assert kernels == [
+            (DET, 1, 2),
+            (DET, 2, 2),
+            (HNF, 1, 2),
+            (HNF, 4, 2),
+            (LATTICE, 1),
+            (SPAN, 1),
+        ]
 
     @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5)])
     def test_failing_deficient_group_case_eliminates_the_colors_once(
@@ -341,8 +363,28 @@ class TestSnfBudget:
             (DET, 2 * n, n),
             (HNF, n - 1, n),
             (HNF, 3 * n, n),
+            (LATTICE, 2 * n),
             (SPAN, 2 * n),
         ]
+
+    @pytest.mark.parametrize("rows", [6, 5])
+    def test_the_coroots_are_restricted_by_one_product(self, monkeypatch, rows):
+        # A6 with all six Cartan rows as colors, or five: both readers of
+        # the check take the rows of the one product C @ E
+        sd = group_case("A", 6)
+        sd = dataclasses.replace(sd, colors=IntMatrix.from_rows(sd.colors.entries[:rows]))
+        coroots = sd.root_datum.coroot_matrix()
+        real = IntMatrix.__matmul__
+        products = []
+
+        def counting(left, right):
+            if left == coroots:
+                products.append((right.rows, right.cols))
+            return real(left, right)
+
+        monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+        full_report(sd)
+        assert products == [(12, 6)]
 
     def test_every_entry_point_reads_one_core(self, monkeypatch):
         # the public entry points, called in any order on a datum and its
