@@ -18,7 +18,9 @@ The normative on-disk format is JSON with a fixed key set:
       "colors": [[2]]
     }
 
-``root_datum`` is either ``standard`` as above or
+Each object gives each of its keys once: ``parse`` refuses a repeated
+key, naming it and its object, where the decoder alone would keep the
+last value.  ``root_datum`` is either ``standard`` as above or
 ``explicit: {rank, simple_roots, simple_coroots}``.  ``lattice`` lists
 the r weight-basis generators as integer vectors of length d (character
 lattice coordinates); ``colors`` lists the m color functionals as integer
@@ -63,9 +65,33 @@ class ParseError(ValueError):
     """Malformed input document; the message names the offending key."""
 
 
+class _Repeats(dict):
+    """An object of the document that gives ``key`` more than once."""
+
+    key: str
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """The ``object_pairs_hook`` of :func:`parse`: a dict, marked as a
+    :class:`_Repeats` when a key repeats, which :func:`_expect_object`
+    rejects with the name of the object."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _Repeats(obj)
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                obj.key = key
+                break
+            seen.add(key)
+    return obj
+
+
 def _expect_object(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"'{where}' must be an object")
+    if isinstance(value, _Repeats):
+        raise ParseError(f"key '{value.key}' is repeated in '{where}'")
     return value
 
 
@@ -174,7 +200,7 @@ def _parse_root_datum(raw: Any) -> RootDatum:
 def parse(text: str) -> SphericalDatum:
     """Parse a document into a structurally validated datum."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"syntax error: {exc.msg} (line {exc.lineno}, column {exc.colno})"

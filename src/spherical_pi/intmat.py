@@ -47,6 +47,7 @@ the ``V`` block along, and a skipped certificate has no block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -158,16 +159,25 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # row i of the product is the sum of x * other[k] over the nonzero
-        # x = self[i][k], so sparse operands cost their support
+        # row i of the product is the sum of x * y at column j over the
+        # nonzero x = self[i][k] and the nonzero y = other[k][j], whose
+        # positions are listed once, so sparse operands cost their support
+        support = _support(other.entries)
+        columns = range(self.cols)
         out = []
         for row in self.entries:
             acc = [0] * other.cols
-            for x, other_row in zip(row, other.entries):
-                if x:
-                    acc = [a + x * b for a, b in zip(acc, other_row)]
+            for k in compress(columns, row):
+                x = row[k]
+                for j, y in support[k]:
+                    acc[j] += x * y
             out.append(tuple(acc))
         return IntMatrix._trusted(self.rows, other.cols, tuple(out))
+
+
+def _support(rows: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of each row as ``(column, entry)`` pairs."""
+    return [[(j, row[j]) for j in compress(range(len(row)), row)] for row in rows]
 
 
 def stack_rows(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:

@@ -10,6 +10,7 @@ other isogeny type can be entered through explicit matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .arith import _check_count
@@ -19,6 +20,7 @@ from .intmat import (
     IntMatrix,
     _check_int,
     _full_column_rank,
+    _support,
 )
 
 SIMPLY_CONNECTED = "simply-connected"
@@ -79,21 +81,19 @@ def cartan_matrix(series: str, rank: int) -> IntMatrix:
     return IntMatrix.from_rows(c)
 
 
-def _dynkin_types(c: Sequence[Sequence[int]]) -> tuple[str, ...]:
+def _dynkin_types(c: Sequence[dict[int, int]]) -> tuple[str, ...]:
     """The finite type of each component of the Dynkin diagram of ``c``.
 
-    ``c`` is a generalized Cartan matrix: diagonal 2, nonpositive entries
-    off it and symmetric zeros.  Its diagram joins ``i`` and ``j`` when
-    ``c[i][j]`` is nonzero, by a bond of multiplicity
-    ``c[i][j] * c[j][i]``.  The components come in the order of their
+    ``c`` is a generalized Cartan matrix, each row given as its nonzero
+    entries ``{j: c[i][j]}``: diagonal 2, nonpositive entries off it and
+    symmetric zeros.  Its diagram joins ``i`` and ``j`` when ``c[i][j]``
+    is nonzero, by a bond of multiplicity ``c[i][j] * c[j][i]``.  The components come in the order of their
     least index, each named like ``"A40"`` or ``"E8"`` (``B2`` for the
     rank-2 double bond).  A component that is not of finite type (Kac,
     *Infinite-dimensional Lie algebras*, Thm 4.3 and Table Fin) raises a
     ValueError that names its simple roots.
     """
-    neighbors = [
-        [j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(c)
-    ]
+    neighbors = [[j for j in row if j != i] for i, row in enumerate(c)]
     seen = [False] * len(c)
     types = []
     for start in range(len(c)):
@@ -118,7 +118,7 @@ def _dynkin_types(c: Sequence[Sequence[int]]) -> tuple[str, ...]:
 
 
 def _component_type(
-    c: Sequence[Sequence[int]], neighbors: list[list[int]], nodes: list[int]
+    c: Sequence[dict[int, int]], neighbors: list[list[int]], nodes: list[int]
 ) -> str | None:
     """The finite type of one connected component, or None when it has none."""
     size = len(nodes)
@@ -207,30 +207,44 @@ class RootDatum:
                 raise DimensionError(
                     f"root or coroot of length {len(v)}, expected {self.rank}"
                 )
-        n = len(roots)
-        root_matrix = self.root_matrix()
-        pairings = []
+        # row i of the pairing as its nonzero entries {j: <coroot_i, root_j>},
+        # summed over the nonzero entries of the coroot and of the root
+        # matrix's rows, which are listed once.  Row i is checked before row
+        # i + 1 is built, so data that fail early pay for a row of the
+        # product, not all of it
+        support = _support(self.root_matrix().entries)
+        pairings: list[dict[int, int]] = []
         for i, coroot in enumerate(coroots):
-            # row i is checked before row i + 1 is built, so data that fail
-            # early pay for a row of the product, not all of it
-            row = (IntMatrix._trusted(1, self.rank, (coroot,)) @ root_matrix)[0]
+            row: dict[int, int] = {}
+            for t in compress(range(self.rank), coroot):
+                x = coroot[t]
+                for j, y in support[t]:
+                    row[j] = row.get(j, 0) + x * y
+            row = {j: x for j, x in row.items() if x}
             pairings.append(row)
-            for j, pairing in enumerate(row):
+            # the first offender in row order is the least j where the
+            # diagonal is not 2 or an entry off it is positive
+            bad = [j for j, x in row.items() if x > 0 and j != i]
+            if row.get(i) != 2:
+                bad.append(i)
+            if bad:
+                j = min(bad)
                 if i == j:
-                    if pairing != 2:
-                        raise ValueError(
-                            f"<coroot_{i}, root_{i}> = {pairing}, expected 2"
-                        )
-                elif pairing > 0:
                     raise ValueError(
-                        f"<coroot_{i}, root_{j}> = {pairing} is positive"
+                        f"<coroot_{i}, root_{i}> = {row.get(i, 0)}, expected 2"
                     )
-        for i in range(n):
-            for j in range(n):
-                if (pairings[i][j] == 0) != (pairings[j][i] == 0):
-                    raise ValueError(
-                        f"pairing zeros are asymmetric at ({i}, {j})"
-                    )
+                raise ValueError(f"<coroot_{i}, root_{j}> = {row[j]} is positive")
+        # a nonzero pairing whose mirror is 0 makes both of its places
+        # asymmetric; the first offender in row-major order is the least
+        asymmetric = [
+            min((i, j), (j, i))
+            for i, row in enumerate(pairings)
+            for j in row
+            if i not in pairings[j]
+        ]
+        if asymmetric:
+            i, j = min(asymmetric)
+            raise ValueError(f"pairing zeros are asymmetric at ({i}, {j})")
         # a Cartan matrix of finite type is nonsingular, and its rank is at
         # most that of the roots and of the coroots, so both are independent
         _dynkin_types(pairings)

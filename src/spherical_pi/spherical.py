@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
+from typing import Sequence
 
 from .arith import _check_char_exponent, _check_count
 from .intmat import (
@@ -296,23 +297,57 @@ def pi1_p_prime(sd: SphericalDatum) -> PiResult:
     return full_report(sd).pi1
 
 
-def _hermite_quotient(
-    basis: list[list[int]], divisible_rank: int = 0
-) -> FinGenAbQuotient:
-    """The quotient of ``Z^r`` by the lattice with this Hermite basis.
+def _above_one(basis: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """The columns j of a Hermite basis with ``h_jj > 1``, and its block on them.
 
     A column j with ``h_jj = 1`` is the unit vector e_j, since the entries
     above a pivot are reduced mod it, so it and row j split off a trivial
-    factor; what is left is the basis on the rows and columns with
-    ``h_jj > 1``.  Its ``divisible_rank`` largest factors are dropped and
-    stand for as many divisible directions.
+    factor of the quotient, and every other row is 0 at j.
     """
     kept = [j for j, row in enumerate(basis) if row[j] > 1]
-    m = IntMatrix._trusted(
-        len(kept), len(kept), tuple(tuple(basis[i][j] for j in kept) for i in kept)
-    )
+    return kept, [[basis[i][j] for j in kept] for i in kept]
+
+
+def _hermite_quotient(
+    block: list[list[int]], divisible_rank: int = 0
+) -> FinGenAbQuotient:
+    """The quotient of ``Z^r`` by the lattice of a Hermite basis, from its
+    ``block`` on the columns with pivots above 1 (see :func:`_above_one`).
+
+    The block's ``divisible_rank`` largest factors are dropped and stand
+    for as many divisible directions.
+    """
+    m = IntMatrix._trusted(len(block), len(block), tuple(map(tuple, block)))
     factors = smith_quotient(snf(m, with_u=False, with_v=False)).invariant_factors
     return FinGenAbQuotient(divisible_rank, factors[: len(factors) - divisible_rank])
+
+
+def _onto_kept(
+    basis: list[list[int]], kept: list[int], rows: Sequence[Sequence[int]]
+) -> list[list[int]]:
+    """The image of each of ``rows`` under ``x -> x_K - sum_j x_j H_{j,K}``,
+    the sum over the columns j of the Hermite basis H with ``h_jj = 1``.
+
+    That map takes ``Z^r`` onto ``Z^K``, for K the ``kept`` columns, and
+    L(H) onto the lattice of ``H_KK``; its kernel is the lattice of the
+    rows j, which lies in L(H).  So ``Z^r / L([H; rows])`` is ``Z^K`` by
+    the lattice of H_KK and the images.
+    """
+    # row j of H on K, for each column j with h_jj = 1 where it is nonzero
+    tails = {}
+    for j, row in enumerate(basis):
+        if row[j] == 1:
+            tail = [row[t] for t in kept]
+            if any(tail):
+                tails[j] = tail
+    out = []
+    for row in rows:
+        image = [row[t] for t in kept]
+        for j, tail in tails.items():
+            if x := row[j]:
+                image = [a - x * h for a, h in zip(image, tail)]
+        out.append(image)
+    return out
 
 
 def _core(
@@ -327,13 +362,16 @@ def _core(
     Hermite basis H of ``L(F) + d Z^r`` gives the color quotient: its
     torsion, whose exponent divides d, and ``r - k`` factors d for its
     divisible directions.  ``L([F; E])`` contains ``d Z^r``, so it is the
-    lattice of ``[H; E]``, whose Hermite basis mod the gcd of ``det H``
-    and d gives the ambient quotient.  A restricted coroot lies in L(F)
-    exactly when it divides down H and lies in the row space of F, which
-    ``L(F) + d Z^r`` meets in L(F).  The coroot matrix is multiplied by E
-    once, when the datum has coroots, and both readers take those rows:
-    ``_outside_lattice`` divides them down H and, below full rank,
-    ``_outside_span`` carries them through the elimination of F.
+    lattice of ``[H; E]``.  Its quotient is that of ``Z^K`` by the rows
+    of ``H_KK`` and of E mapped onto the columns K of H with pivots
+    above 1 (see :func:`_onto_kept`), whose Hermite basis mod the gcd of
+    ``det H`` and d gives the ambient quotient.  A restricted coroot lies
+    in L(F) exactly when it divides down H and lies in the row space of
+    F, which ``L(F) + d Z^r`` meets in L(F).  The coroot matrix is
+    multiplied by E once, when the datum has coroots, and both readers
+    take those rows: ``_outside_lattice`` divides them down H and, below
+    full rank, ``_outside_span`` carries them through the elimination of
+    F.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
@@ -344,15 +382,22 @@ def _core(
         if k < r:
             d = lcm(d, _echelon(embedding, r)[1])
         basis = _hermite_mod(colors, r, d, k)
-        index = prod(row[j] for j, row in enumerate(basis))
-        ambient = _hermite_mod(basis + list(embedding), r, gcd(index, d), r)
+        kept, block = _above_one(basis)
+        index = prod(row[i] for i, row in enumerate(block))
+        n = len(kept)
+        ambient = _hermite_mod(
+            block + _onto_kept(basis, kept, embedding), n, gcd(index, d), n
+        )
         outside = []
         if sd.root_datum.simple_coroots:
             restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
             outside = _outside_lattice(basis, restricted)
             if k < r:
                 outside = sorted({*outside, *_outside_span(elimination, restricted)})
-        quotients = (_hermite_quotient(basis, r - k), _hermite_quotient(ambient))
+        quotients = (
+            _hermite_quotient(block, r - k),
+            _hermite_quotient(_above_one(ambient)[1]),
+        )
         core.append(quotients + (_checks(sd, outside),))
     return core[0]
 
@@ -363,13 +408,14 @@ def full_report(sd: SphericalDatum) -> Report:
     The core (see :func:`_core`) holds the color saturation quotient, the
     ambient one and the embedding-rank and coroot-span outcomes.  It
     costs one determinant (two below full column rank), two Hermite bases
-    taken mod a determinant and two certificate-free Smith forms of their
-    blocks with pivots above 1.  The coroots are restricted by one
-    product, and each is divided down the colors' basis; below full
-    column rank, each also takes the steps of the elimination of the
-    colors.  pi1 and
-    pi0 are the p'-parts of the two quotients.  A failed coroot-span check
-    is a warning in ``validation``.
+    taken mod a determinant, the second only on the columns where the
+    first has a pivot above 1, and two certificate-free Smith forms of
+    their blocks with pivots above 1.  The coroots are restricted by one
+    product, which costs the nonzero entries of its operands, and each is
+    divided down the colors' basis; below full column rank, each also
+    takes the steps of the elimination of the colors.  pi1 and pi0 are
+    the p'-parts of the two quotients.  A failed coroot-span check is a
+    warning in ``validation``.
 
     The core is computed once, by the first call of any public entry point
     on ``sd`` or on a datum it shares its core with (see

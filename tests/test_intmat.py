@@ -356,7 +356,65 @@ def sparse_matrix(rng, nr, nc, density, bits):
     )
 
 
+def triple_loop_product(a, b):
+    """The product by its definition, one loop per index."""
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a[i][k] * b[k][j]
+    return tuple(map(tuple, out))
+
+
+PRODUCT_KINDS = ("dense", "zero-rows", "one-per-row", "negative", "256-bit")
+
+
+def product_operand(rng, kind, nr, nc):
+    """An nr x nc operand whose support or entries are of the given kind."""
+    if kind == "one-per-row":
+        rows = [[0] * nc for _ in range(nr)]
+        for row in rows:
+            if nc:
+                row[rng.randrange(nc)] = rng.choice((-3, -1, 1, 2, 5))
+        return mat(rows, cols=nc)
+    bits = 256 if kind == "256-bit" else 5
+    low = -(1 << bits) if kind != "dense" else 0
+    rows = [[rng.randint(low, 1 << bits) for _ in range(nc)] for _ in range(nr)]
+    if kind == "negative":
+        rows = [[-abs(x) for x in row] for row in rows]
+    if kind == "zero-rows":
+        for row in rows:
+            if rng.random() < 0.5:
+                row[:] = [0] * nc
+    return mat(rows, cols=nc)
+
+
 class TestProductAgainstReference:
+    def test_every_support_kind_against_a_triple_loop(self):
+        # 300 seeded pairs, each operand of its own kind; shapes run from
+        # 0 to 6 rows, inner columns and columns
+        rng = random.Random("product-kinds")
+        seen = Counter()
+        for draw in range(300):
+            nr, inner, nc = (rng.randint(0, 6) for _ in range(3))
+            kinds = rng.choice(PRODUCT_KINDS), rng.choice(PRODUCT_KINDS)
+            a = product_operand(rng, kinds[0], nr, inner)
+            b = product_operand(rng, kinds[1], inner, nc)
+            prod = a @ b
+            assert (prod.rows, prod.cols) == (nr, nc), draw
+            assert prod.entries == triple_loop_product(a, b), draw
+            assert all(type(x) is int for row in prod.entries for x in row)
+            seen.update(kinds)
+            seen["empty"] += 0 in (nr, inner, nc)
+            seen["zero row"] += any(not any(row) for row in a.entries + b.entries)
+            seen["negative"] += any(x < 0 for row in a.entries for x in row)
+            seen["256 bits"] += any(
+                abs(x).bit_length() > 200 for row in a.entries for x in row
+            )
+        assert all(seen[kind] >= 60 for kind in PRODUCT_KINDS), seen
+        assert min(seen["empty"], seen["zero row"], seen["negative"]) >= 60, seen
+        assert seen["256 bits"] >= 30, seen
+
     @pytest.mark.parametrize("density", [0, 0.1, 0.5, 1])
     def test_random_operands(self, density):
         rng = random.Random(int(density * 10) + 400)

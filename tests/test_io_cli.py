@@ -88,6 +88,14 @@ NOT_FINITE_01 = (
     "is not of finite type"
 )
 
+def repeat_once(text, old, new):
+    """``text`` with its one ``old`` replaced by ``new``; the text with the
+    last value alone must parse."""
+    assert text.count(old) == 1
+    parse(text)
+    return text.replace(old, new)
+
+
 # one bad field each, with the whole message that names it
 BAD_FIELDS = {
     "standard-not-object": (
@@ -141,6 +149,23 @@ BAD_FIELDS = {
     "explicit-rank-negative": (
         explicit_doc(-1, [], [], [], []),
         "'root_datum.explicit.rank' must be nonnegative, got -1",
+    ),
+    # a key given twice, where the last value alone would be accepted
+    "repeated-top-level-key": (
+        repeat_once(doc_text(), '"p": 1,', '"p": 2, "p": 1,'),
+        "key 'p' is repeated in 'document'",
+    ),
+    "repeated-standard-key": (
+        repeat_once(doc_text(), '"rank": 1,', '"rank": 2, "rank": 1,'),
+        "key 'rank' is repeated in 'root_datum.standard'",
+    ),
+    "repeated-explicit-key": (
+        repeat_once(
+            explicit_doc(1, [[1]], [[2]], [[4]], [[2]]),
+            '"simple_roots": [[1]]',
+            '"simple_roots": [[2]], "simple_roots": [[1]]',
+        ),
+        "key 'simple_roots' is repeated in 'root_datum.explicit'",
     ),
 }
 
@@ -521,6 +546,19 @@ class TestCli:
 
     @pytest.mark.parametrize("key", ["hyperbolic-pairing", "affine-pairing"])
     def test_a_pairing_of_no_finite_type_exits_2(self, tmp_path, capsys, key):
+        text, message = BAD_FIELDS[key]
+        assert main(["compute", self.write(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["repeated-top-level-key", "repeated-standard-key", "repeated-explicit-key"],
+    )
+    def test_a_repeated_key_exits_2(self, tmp_path, capsys, key):
+        # the last value would be accepted; a report could not say which one
+        # it used, so the document is refused
         text, message = BAD_FIELDS[key]
         assert main(["compute", self.write(tmp_path, text)]) == 2
         captured = capsys.readouterr()

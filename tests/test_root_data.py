@@ -447,7 +447,97 @@ def random_explicit(rng):
     return rd.rank, tuple(map(tuple, roots)), tuple(map(tuple, coroots))
 
 
+def mutated_cartan(rng, kind):
+    """An adjoint datum in permuted coordinates whose pairing is a Cartan
+    matrix of rank 3 or more edited at two places.
+
+    ``one row`` makes two entries of one row fail the diagonal or sign
+    check; ``asymmetric`` gives two bonds, each new or existing, a 0 in one
+    direction only.
+    """
+    series, n = rng.choice([t for t in ALL_TYPES if t[1] > 2])
+    c = [list(row) for row in cartan_matrix(series, n).entries]
+    if kind == "one row":
+        i = rng.randrange(n)
+        for j in rng.sample(range(n), 2):
+            c[i][j] = rng.choice((0, 1, 3, -2)) if i == j else rng.randint(1, 3)
+    else:
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for i, j in rng.sample(pairs, 2):
+            if rng.random() < 0.5:
+                i, j = j, i
+            c[i][j] = -rng.randint(1, 3) if c[i][j] == 0 else 0
+    perm = list(range(n))
+    rng.shuffle(perm)
+    roots = tuple(tuple(int(perm[t] == j) for t in range(n)) for j in range(n))
+    coroots = tuple(tuple(row[perm[t]] for t in range(n)) for row in c)
+    return n, roots, coroots
+
+
 class TestRootDatumAgainstReference:
+    def test_the_pairing_read_off_supports_is_the_product(self, monkeypatch):
+        # the sparse rows that the classification reads, against the pairing
+        # matrix coroot_matrix() @ root_matrix() and the generator sums
+        seen = []
+        real = root_data._dynkin_types
+
+        def keep(rows):
+            seen.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(root_data, "_dynkin_types", keep)
+        rng = random.Random(5152)
+        data = [build_standard(s, r, iso, rng.randint(0, 2))
+                for s, r in ALL_TYPES for iso in (ADJOINT, SIMPLY_CONNECTED)]
+        while len(data) < 2 * len(ALL_TYPES) + 60:
+            try:
+                data.append(RootDatum(*random_explicit(rng)))
+            except ValueError:
+                pass
+        data.append(product(data[0], data[-1]))
+        # roots v -> v W and coroots u -> u W^-T keep every pairing, and a
+        # dense W makes most of them sums that cancel
+        for rd in data[: 2 * len(ALL_TYPES)]:
+            roots = [list(v) for v in rd.simple_roots]
+            coroots = [list(u) for u in rd.simple_coroots]
+            for _ in range(3 * rd.rank):
+                a, b = rng.sample(range(rd.rank), 2) if rd.rank > 1 else (0, 0)
+                q = rng.choice((-2, -1, 1, 2)) * (a != b)
+                for v in roots:
+                    v[b] += q * v[a]
+                for u in coroots:
+                    u[a] -= q * u[b]
+            data.append(RootDatum(rd.rank, tuple(roots), tuple(coroots)))
+        for rd in data:
+            seen.clear()
+            RootDatum(rd.rank, rd.simple_roots, rd.simple_coroots)
+            (rows,) = seen
+            n = rd.semisimple_rank
+            assert all(0 not in row.values() for row in rows)
+            dense = tuple(tuple(row.get(j, 0) for j in range(n)) for row in rows)
+            assert dense == rd.pairing_matrix().entries
+            assert dense == tuple(
+                tuple(sum(a * b for a, b in zip(co, ro)) for ro in rd.simple_roots)
+                for co in rd.simple_coroots
+            )
+
+    @pytest.mark.parametrize("kind", ["one row", "asymmetric"])
+    def test_two_offenders_name_the_first(self, kind):
+        # the message names the first offender in row-major order, as the
+        # reference's full loops do
+        checks = ("expected 2", "positive", "asymmetric")
+        rng = random.Random(f"two offenders: {kind}")
+        kinds = Counter()
+        for _ in range(200):
+            rank, roots, coroots = mutated_cartan(rng, kind)
+            want = raised(reference_root_datum_check, rank, roots, coroots)
+            assert raised(RootDatum, rank, roots, coroots) == want
+            kinds[next(k for k in checks if k in want[1])] += 1
+        if kind == "one row":
+            assert min(kinds["expected 2"], kinds["positive"]) >= 30, kinds
+        else:
+            assert kinds["asymmetric"] == 200, kinds
+
     def test_random_explicit_data(self):
         rng = random.Random(5150)
         kinds = (
@@ -568,10 +658,15 @@ HYPERBOLIC_RANK_2 = [
 ]
 
 
+def dynkin_types(c):
+    """The classifier on the dense matrix c, given as its rows' nonzero entries."""
+    return root_data._dynkin_types([{j: x for j, x in enumerate(row) if x} for row in c])
+
+
 def classified(c):
     """The classifier's names, or None when it raises."""
     try:
-        return root_data._dynkin_types(c)
+        return dynkin_types(c)
     except ValueError as exc:
         assert str(exc).startswith("the Dynkin diagram component on simple roots ")
         return None
@@ -607,7 +702,7 @@ class TestDynkinClassification:
             perm = list(range(rank))
             rng.shuffle(perm)
             d = permuted(c, perm)
-            assert root_data._dynkin_types(d) == (f"{series}{rank}",)
+            assert dynkin_types(d) == (f"{series}{rank}",)
             assert _finite_type(d)
 
     def test_products_of_two_types_name_both_by_least_index(self):
@@ -621,7 +716,7 @@ class TestDynkinClassification:
             if min(perm[r:]) < min(perm[:r]):
                 first, second = second, first
             d = permuted(c, perm)
-            assert root_data._dynkin_types(d) == (first, second)
+            assert dynkin_types(d) == (first, second)
             assert _finite_type(d)
 
     @pytest.mark.parametrize(
@@ -638,7 +733,7 @@ class TestDynkinClassification:
         d = block_sum(cartan_matrix("A", 2).entries, c)
         listed = ", ".join(str(k + 2) for k in range(len(c)))
         with pytest.raises(ValueError) as err:
-            root_data._dynkin_types(d)
+            dynkin_types(d)
         assert str(err.value) == (
             f"the Dynkin diagram component on simple roots {listed} "
             "is not of finite type"

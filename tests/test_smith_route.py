@@ -17,6 +17,7 @@ draws."""
 import dataclasses
 import itertools
 import json
+import math
 import random
 import re
 import sys
@@ -25,7 +26,7 @@ from collections import Counter
 import pytest
 
 from spherical_pi import cli, intmat, spherical
-from spherical_pi.catalog import CHARACTERISTICS, catalog_entry, run_entry
+from spherical_pi.catalog import CHARACTERISTICS, catalog, catalog_entry, run_entry
 from spherical_pi.documents import ParseError, parse
 from spherical_pi.intmat import IntMatrix, snf, stack_rows
 from spherical_pi.lattices import FinGenAbQuotient, smith_quotient
@@ -241,16 +242,17 @@ def hermite_route(n, kept):
     """The kernel calls of the core of a rank-n group case ``group_case``.
 
     The determinant of a minor of the n x n colors, their Hermite basis
-    mod it, the basis of that stacked on the 2n rows of the embedding
-    [I; -I] mod its own determinant, the 2n restricted coroots divided
-    down the colors' basis, and the Smith forms of the two bases on their
-    pivots above 1: ``kept`` of them, and none for the ambient basis,
-    which the embedding makes I.
+    mod it, the basis's block on its ``kept`` pivots above 1 stacked on
+    the 2n rows of the embedding [I; -I] mapped onto those columns, mod
+    its own determinant, the 2n restricted coroots divided down the
+    colors' basis, and the Smith forms of the two bases on their pivots
+    above 1: ``kept`` of them, and none for the ambient basis, which the
+    embedding makes I.
     """
     return [
         (DET, n, n),
         (HNF, n, n),
-        (HNF, 3 * n, n),
+        (HNF, kept + 2 * n, kept),
         (LATTICE, 2 * n),
         (kept, kept),
         (0, 0),
@@ -261,8 +263,8 @@ class TestSnfBudget:
     @pytest.mark.parametrize("series, n", [("A", 6), ("D", 5), ("A", 1)])
     def test_group_case_report_costs_two(self, monkeypatch, series, n):
         # the colors' Hermite basis has one pivot above 1 (n + 1 for A_n, 4
-        # for D_5); the embedding [I; -I] makes the ambient basis I, which
-        # leaves the second form no pivot
+        # for D_5), so the ambient basis is one column wide; the embedding
+        # [I; -I] makes it I, which leaves the second form no pivot
         shapes = snf_shapes(monkeypatch, full_report, group_case(series, n))
         assert shapes == hermite_route(n, 1)
 
@@ -324,13 +326,17 @@ class TestSnfBudget:
             (0, 0),
         ]
 
-    @pytest.mark.parametrize("colors", [[[1, 0]], [[0, 1]], [[2, 0]]])
+    @pytest.mark.parametrize(
+        "colors, kept", [([[1, 0]], 0), ([[0, 1]], 0), ([[2, 0]], 2)]
+    )
     def test_deficient_colors_carry_the_coroots_through_one_elimination(
-        self, monkeypatch, colors
+        self, monkeypatch, colors, kept
     ):
         # the coroot is divided down the basis and takes the steps of the
         # elimination that found the rank of F, whether it passes the check
-        # or fails it
+        # or fails it.  The basis of L(F) + d Z^2 is I for d = 1, and 2 I
+        # for [[2, 0]], where d = 2; the ambient basis is as wide as its
+        # pivots above 1
         sd = a1_with_central_torus(colors)
         calls = snf_shapes(monkeypatch, full_report, sd)
         kernels = [c for c in calls if isinstance(c[0], str)]
@@ -338,7 +344,7 @@ class TestSnfBudget:
             (DET, 1, 2),
             (DET, 2, 2),
             (HNF, 1, 2),
-            (HNF, 4, 2),
+            (HNF, kept + 2, kept),
             (LATTICE, 1),
             (SPAN, 1),
         ]
@@ -348,7 +354,9 @@ class TestSnfBudget:
         self, monkeypatch, series, n
     ):
         # n - 1 of the n Cartan rows as colors leave coroots outside their
-        # row space; none of the 2n coroots takes an elimination of its own
+        # row space; none of the 2n coroots takes an elimination of its own.
+        # The basis of L(F) + d Z^n has one pivot above 1 (6 for A6, 5 for
+        # D5), so the ambient basis is one column wide
         sd = group_case(series, n)
         sd = dataclasses.replace(
             sd, colors=IntMatrix.from_rows(sd.colors.entries[: n - 1])
@@ -362,7 +370,7 @@ class TestSnfBudget:
             (DET, n - 1, n),
             (DET, 2 * n, n),
             (HNF, n - 1, n),
-            (HNF, 3 * n, n),
+            (HNF, 1 + 2 * n, 1),
             (LATTICE, 2 * n),
             (SPAN, 2 * n),
         ]
@@ -385,6 +393,21 @@ class TestSnfBudget:
         monkeypatch.setattr(IntMatrix, "__matmul__", counting)
         full_report(sd)
         assert products == [(12, 6)]
+
+    def test_the_ambient_basis_is_as_wide_as_the_pivots_above_1(self, monkeypatch):
+        # the second Hermite basis of a report is taken on the columns where
+        # the colors' basis has a pivot above 1, from that basis's block
+        # there and the rows of the embedding
+        data = [sd for _, _, sd in ambient_draws()][::3]
+        data += [group_case(s, n, f) for s, n in (("A", 6), ("D", 5)) for f in (1, 2)]
+        widths = [kept_width(sd) for sd in data]
+        calls = record_snf(monkeypatch)
+        for sd, width in zip(data, widths):
+            calls.clear()
+            full_report(sd)
+            _, ambient_call = [c for c in calls if c[0] == HNF]
+            assert ambient_call == (HNF, width + sd.ambient_rank, width), sd.label
+        assert {0, 1, 5, 6} <= set(widths)
 
     def test_every_entry_point_reads_one_core(self, monkeypatch):
         # the public entry points, called in any order on a datum and its
@@ -592,26 +615,81 @@ def lattice_ambient_quotient(sd):
     )
 
 
+def colors_basis(sd):
+    """The Hermite basis H of the core and its modulus d, as ``_core`` takes them."""
+    colors, embedding, r = sd.colors.entries, sd.lattice_embedding.entries, sd.rank
+    k, d, _ = intmat._echelon(colors, r)
+    if k < r:
+        d = math.lcm(d, intmat._echelon(embedding, r)[1])
+    return intmat._hermite_mod(colors, r, d, k), d
+
+
+def kept_width(sd):
+    """How many pivots of the colors' basis H are above 1: the width K of
+    the ambient basis."""
+    basis, _ = colors_basis(sd)
+    return sum(row[j] > 1 for j, row in enumerate(basis))
+
+
+def full_width_ambient_quotient(sd):
+    """The reference: the Hermite basis of [H; E] on all r columns, mod the
+    gcd of det H and d, read off on its pivots above 1."""
+    basis, d = colors_basis(sd)
+    r = sd.rank
+    index = math.prod(row[j] for j, row in enumerate(basis))
+    rows = basis + list(sd.lattice_embedding.entries)
+    full = intmat._hermite_mod(rows, r, math.gcd(index, d), r)
+    return spherical._hermite_quotient(spherical._above_one(full)[1])
+
+
+def ambient_draws():
+    """The 315 seeded torus data of :class:`TestAmbientFromColors`."""
+    rng = random.Random("ambient-from-colors")
+    for draw in range(315):
+        kind = AMBIENT_KINDS[draw % len(AMBIENT_KINDS)]
+        yield draw, kind, ambient_case(rng, kind, draw // len(AMBIENT_KINDS) % 9)
+
+
 class TestAmbientFromColors:
     """The ambient quotient of the core against [F; E] and the saturation."""
 
     def test_random_data_match_both_references(self):
-        rng = random.Random("ambient-from-colors")
         seen = {kind: set() for kind in AMBIENT_KINDS}
+        widths = Counter()
         nontrivial = 0
-        for draw in range(315):
-            kind = AMBIENT_KINDS[draw % len(AMBIENT_KINDS)]
-            sd = ambient_case(rng, kind, draw // len(AMBIENT_KINDS) % 9)
+        for draw, kind, sd in ambient_draws():
             got = ambient_saturation_quotient(sd)
             assert got == direct_ambient_quotient(sd), (draw, sd.label)
             assert got == lattice_ambient_quotient(sd), (draw, sd.label)
             seen[kind].add((sd.rank, sd.color_count))
             nontrivial += not got.is_trivial
+            if sd.ambient_rank > sd.rank > 0:
+                width = kept_width(sd)
+                share = "none" if width == 0 else "all" if width == sd.rank else "some"
+                widths[share] += 1
         ranks = {r for shapes in seen.values() for r, _ in shapes}
         counts = {m for shapes in seen.values() for _, m in shapes}
         assert ranks == set(range(9)) and counts == set(range(13))
         assert all(len(shapes) >= 8 for shapes in seen.values())
         assert nontrivial >= 150
+        # the ambient basis is taken on no column, on some and on all of
+        # them, with embeddings of more rows than columns
+        assert min(widths["none"], widths["some"], widths["all"]) >= 20, widths
+
+    def test_the_kept_columns_match_the_full_width_route(self):
+        # the random data, every catalog entry and A/D group cases with
+        # their 2C twins
+        data = [sd for _, _, sd in ambient_draws()]
+        data += [parse(entry.document) for entry in catalog()]
+        data += [
+            group_case(series, n, factor)
+            for series, ranks in (("A", range(1, 9)), ("D", range(4, 9)))
+            for n in ranks
+            for factor in (1, 2)
+        ]
+        for sd in data:
+            want = full_width_ambient_quotient(sd)
+            assert ambient_saturation_quotient(sd) == want, sd.label
 
     def test_kernel_directions_carry_the_embedding(self):
         # no colors: the quotient is that of E alone, all of it from the
