@@ -87,9 +87,9 @@ def _dynkin_types(c: Sequence[dict[int, int]]) -> tuple[str, ...]:
     ``c`` is a generalized Cartan matrix, each row given as its nonzero
     entries ``{j: c[i][j]}``: diagonal 2, nonpositive entries off it and
     symmetric zeros.  Its diagram joins ``i`` and ``j`` when ``c[i][j]``
-    is nonzero, by a bond of multiplicity ``c[i][j] * c[j][i]``.  The components come in the order of their
-    least index, each named like ``"A40"`` or ``"E8"`` (``B2`` for the
-    rank-2 double bond).  A component that is not of finite type (Kac,
+    is nonzero, by a bond of multiplicity ``c[i][j] * c[j][i]``.  The
+    components come in the order of their least index, each named like
+    ``"A40"`` or ``"E8"`` (``B2`` for the rank-2 double bond).  A component that is not of finite type (Kac,
     *Infinite-dimensional Lie algebras*, Thm 4.3 and Table Fin) raises a
     ValueError that names its simple roots.
     """
