@@ -68,16 +68,14 @@ def _print_entry_runs(name: str, runs) -> bool:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.action != "run" and args.name is not None:
-        print(f"catalog {args.action} takes no entry name", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError(f"catalog {args.action} takes no entry name")
     if args.action == "list":
         for entry in catalog():
             print(entry.name)
         return EXIT_OK
     if args.action == "run":
         if args.name is None:
-            print("catalog run requires an entry name", file=sys.stderr)
-            return EXIT_PARSE
+            raise ValueError("catalog run requires an entry name")
         entry = catalog_entry(args.name)
         ok = _print_entry_runs(entry.name, run_entry(entry))
         return EXIT_OK if ok else EXIT_VALIDATION

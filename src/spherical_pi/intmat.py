@@ -14,11 +14,11 @@ bases.  ``_echelon`` finds the rank k of a matrix and the determinant
 of a nonsingular k x k row minor by a fraction-free elimination,
 ``_outside_span`` carries other rows through its steps to find those
 outside its row space over Q, and ``_hermite_mod`` computes the Hermite
-basis of ``L(rows) + d Z^n``, for d a multiple of that minor, with
-every entry kept below d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan
-and Trotter 1987).  At full rank, with d a multiple of the index, that
-lattice is the row lattice itself.  ``_outside_lattice`` divides other
-rows down such a basis to find those outside its lattice.
+basis of ``L(rows) + d Z^n``, for any d >= 1, with every entry kept
+below d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and Trotter 1987).
+At full rank, with d a multiple of the index, that lattice is the row
+lattice itself.  ``_remainders`` divides other rows down such a basis;
+a row lies in its lattice exactly when its remainder is 0.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
@@ -504,64 +504,47 @@ def _outside_span(elimination: _Elimination, probes: Sequence[Sequence[int]]) ->
     return [i for i, (*_, lead) in enumerate(carried) if lead is not None]
 
 
-def _outside_lattice(
-    basis: Sequence[Sequence[int]], probes: Sequence[Sequence[int]]
-) -> list[int]:
-    """The indices of the ``probes`` outside the lattice of ``basis``, an
-    upper-triangular n x n matrix with a positive diagonal.
-
-    Each probe c is divided down the basis: at column j, ``q, rem =
-    divmod(c_j, h_jj)``, a remainder puts c outside, and otherwise q times
-    row j is taken away along its nonzero entries, which leaves c with a 0
-    at j.  Nothing is assumed of the entries above the pivots.
-    """
-    # each row as its pivot and its nonzero entries right of it
-    rows = [
-        (row[j], [(t, x) for t, x in enumerate(row[j + 1 :], j + 1) if x])
-        for j, row in enumerate(basis)
-    ]
-    outside = []
-    for i, c in enumerate(probes):
-        c = list(c)
-        for j, (h, tail) in enumerate(rows):
-            if c[j]:
-                q, rem = divmod(c[j], h)
-                if rem:
-                    outside.append(i)
-                    break
-                for t, x in tail:
-                    c[t] -= q * x
-    return outside
-
-
-def _hermite_mod(
-    rows: Sequence[Sequence[int]], n: int, d: int, k: int
+def _remainders(
+    basis: Sequence[Sequence[int]], rows: Sequence[Sequence[int]]
 ) -> list[list[int]]:
-    """The Hermite basis of ``L(rows) + d Z^n``, computed mod divisors of ``d``.
+    """Each of ``rows`` divided down ``basis``, an upper-triangular n x n
+    matrix with a positive diagonal: the remainders.
 
-    ``d >= 1`` must be a multiple of the k-th determinantal divisor of
-    ``rows`` for some k up to their rank (k = 0 allows any d).  The
-    quotient of ``Z^n`` by the lattice is ``(Z/d)^(n - rank)`` times the
-    ``Z/gcd(s_i, d)`` over the elementary divisors ``s_i``, so ``m =
-    d^(n-k+1)`` is a multiple of its index.  The result is the n x n
-    upper-triangular ``H`` with ``0 <= h_ij < h_jj`` above the diagonal.
-
-    What is left of the lattice at column j contains ``R Z^(n-j)`` for
-    ``R = gcd(m, d)``, so rows are kept mod R (Cohen, GTM 138, Alg. 2.4.8;
-    Domich, Kannan and Trotter 1987).  Column j folds every row that is
-    nonzero there into one pivot row P by extended-gcd pairs, on entries
-    j to n - 1 only.  Row j of ``H`` is P times ``u``, where ``u x =
-    gcd(x, R) = h_jj`` mod R; m then becomes ``m / h_jj`` and R its gcd
-    with d.  What is left also holds ``R / h_jj`` times the tail of P,
-    which waits with the other rows unless the new R divides ``R /
-    h_jj``, as it always does at k = n.  A row waits untouched under its
-    first nonzero column until that column comes, and moves on if its
-    entry there is a multiple of R.  Last, rows are reduced from the
-    bottom up: each entry above a pivot is reduced mod it by the reduced
-    row below, along that row's nonzero entries only.
+    At each column j in turn, ``c_j // h_jj`` times row j is taken away
+    along its nonzero entries, which leaves ``0 <= c_j < h_jj``.  A row
+    lies in the lattice of ``basis`` exactly when its remainder is 0.
+    Nothing is assumed of the entries above the pivots.
     """
-    m = d ** (n - k + 1)
-    mod = d
+    support = _support(basis)
+    columns = range(len(basis))
+    out = []
+    for row in rows:
+        c = list(row)
+        # compress reads c[j] when it reaches j, after the steps before it
+        for j in compress(columns, c):
+            if q := c[j] // basis[j][j]:
+                for t, x in support[j]:
+                    c[t] -= q * x
+        out.append(c)
+    return out
+
+
+def _hermite_mod(rows: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
+    """The Hermite basis of ``L(rows) + d Z^n``, for any ``d >= 1``.
+
+    The result is the n x n upper-triangular ``H`` with ``0 <= h_ij <
+    h_jj`` above the diagonal.  The lattice contains ``d Z^n``, so every
+    row is kept mod d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and
+    Trotter 1987).  Column j folds every row that is nonzero there into
+    one pivot row P by extended-gcd pairs, on entries j to n - 1 only.
+    Row j of ``H`` is P times ``u``, where ``u x = gcd(x, d) = h_jj`` mod
+    d, and what is left of the lattice also holds ``d / h_jj`` times the
+    tail of P, which waits with the other rows.  A row waits untouched
+    under its first nonzero column until that column comes, and moves on
+    if its entry there is a multiple of d.  Last, rows are reduced from
+    the bottom up: each entry above a pivot is reduced mod it by the
+    reduced row below, along that row's nonzero entries only.
+    """
     # (entries from column s on, s) of the working rows by lead column
     waiting: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(n)]
     for row in rows:
@@ -572,15 +555,15 @@ def _hermite_mod(
         pivot = None
         for row, s in bucket:
             row = row[j - s :]
-            b = row[0] % mod
+            b = row[0] % d
             if not b:
-                # a multiple of R: wait under the next column that is not
-                row = [x % mod for x in row]
+                # a multiple of d: wait under the next column that is not
+                row = [x % d for x in row]
                 if (c := _lead(row, j)) is not None:
                     waiting[c].append((row, j))
                 continue
             if pivot is None:
-                pivot = [b] + [x % mod for x in row[1:]]
+                pivot = [b] + [x % d for x in row[1:]]
                 continue
             a, top, row = pivot[0], pivot[1:], row[1:]
             if b % a:
@@ -589,27 +572,24 @@ def _hermite_mod(
                 # [[u, v], [-b, a]] is unimodular and takes (a, b) to (1, 0)
                 u = pow(a, -1, b)
                 v = (1 - u * a) // b
-                pivot = [g] + [(u * x + v * y) % mod for x, y in zip(top, row)]
-                row = [(a * y - b * x) % mod for x, y in zip(top, row)]
+                pivot = [g] + [(u * x + v * y) % d for x, y in zip(top, row)]
+                row = [(a * y - b * x) % d for x, y in zip(top, row)]
             else:
                 q = b // a
-                row = [(y - q * x) % mod for x, y in zip(top, row)]
+                row = [(y - q * x) % d for x, y in zip(top, row)]
             if (c := _lead(row, j + 1)) is not None:
                 waiting[c].append((row, j + 1))
         if pivot is None:
-            h, tail = mod, [0] * (n - j - 1)
+            h, tail = d, [0] * (n - j - 1)
         else:
-            h = gcd(pivot[0], mod)
-            u = pow(pivot[0] // h, -1, mod // h)
-            tail = [u * x % mod for x in pivot[1:]]
+            h = gcd(pivot[0], d)
+            u = pow(pivot[0] // h, -1, d // h)
+            tail = [u * x % d for x in pivot[1:]]
+            if h > 1:
+                row = [d // h * x % d for x in pivot[1:]]
+                if (c := _lead(row, j + 1)) is not None:
+                    waiting[c].append((row, j + 1))
         basis.append([0] * j + [h] + tail)
-        m //= h
-        left = gcd(m, d)
-        if pivot is not None and mod // h % left:
-            row = [mod // h * x % left for x in pivot[1:]]
-            if (c := _lead(row, j + 1)) is not None:
-                waiting[c].append((row, j + 1))
-        mod = left
     support: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = basis[i]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from math import gcd, lcm, prod
-from typing import Sequence
 
 from .arith import _check_char_exponent, _check_count
 from .intmat import (
@@ -38,8 +37,8 @@ from .intmat import (
     _echelon,
     _full_column_rank,
     _hermite_mod,
-    _outside_lattice,
     _outside_span,
+    _remainders,
     snf,
     stack_rows,
 )
@@ -322,34 +321,6 @@ def _hermite_quotient(
     return FinGenAbQuotient(divisible_rank, factors[: len(factors) - divisible_rank])
 
 
-def _onto_kept(
-    basis: list[list[int]], kept: list[int], rows: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """The image of each of ``rows`` under ``x -> x_K - sum_j x_j H_{j,K}``,
-    the sum over the columns j of the Hermite basis H with ``h_jj = 1``.
-
-    That map takes ``Z^r`` onto ``Z^K``, for K the ``kept`` columns, and
-    L(H) onto the lattice of ``H_KK``; its kernel is the lattice of the
-    rows j, which lies in L(H).  So ``Z^r / L([H; rows])`` is ``Z^K`` by
-    the lattice of H_KK and the images.
-    """
-    # row j of H on K, for each column j with h_jj = 1 where it is nonzero
-    tails = {}
-    for j, row in enumerate(basis):
-        if row[j] == 1:
-            tail = [row[t] for t in kept]
-            if any(tail):
-                tails[j] = tail
-    out = []
-    for row in rows:
-        image = [row[t] for t in kept]
-        for j, tail in tails.items():
-            if x := row[j]:
-                image = [a - x * h for a, h in zip(image, tail)]
-        out.append(image)
-    return out
-
-
 def _core(
     sd: SphericalDatum,
 ) -> tuple[FinGenAbQuotient, FinGenAbQuotient, tuple[CheckOutcome, ...]]:
@@ -362,16 +333,18 @@ def _core(
     Hermite basis H of ``L(F) + d Z^r`` gives the color quotient: its
     torsion, whose exponent divides d, and ``r - k`` factors d for its
     divisible directions.  ``L([F; E])`` contains ``d Z^r``, so it is the
-    lattice of ``[H; E]``.  Its quotient is that of ``Z^K`` by the rows
-    of ``H_KK`` and of E mapped onto the columns K of H with pivots
-    above 1 (see :func:`_onto_kept`), whose Hermite basis mod the gcd of
-    ``det H`` and d gives the ambient quotient.  A restricted coroot lies
-    in L(F) exactly when it divides down H and lies in the row space of
-    F, which ``L(F) + d Z^r`` meets in L(F).  The coroot matrix is
-    multiplied by E once, when the datum has coroots, and both readers
-    take those rows: ``_outside_lattice`` divides them down H and, below
-    full rank, ``_outside_span`` carries them through the elimination of
-    F.
+    lattice of ``[H; E]``.  ``_remainders`` divides the rows of E and
+    the restricted coroots down H in one call.  Taking rows of H away
+    leaves ``L([H; E])`` as it is, and the remainders of E are 0 at every
+    column of H with pivot 1, which splits off (see :func:`_above_one`).
+    So the ambient quotient is that of ``Z^K``, for K the columns with
+    pivots above 1, by the rows of ``H_KK`` and of those remainders on
+    K, whose Hermite basis mod the gcd of ``det H`` and d gives it.  A
+    restricted coroot lies in L(F) exactly when its remainder is 0 and
+    it lies in the row space of F, which ``L(F) + d Z^r`` meets in L(F).
+    The coroot matrix is multiplied by E once, when the datum has
+    coroots, and below full rank ``_outside_span`` carries the same rows
+    through the elimination of F.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
@@ -381,19 +354,18 @@ def _core(
         k, d, elimination = _echelon(colors, r)
         if k < r:
             d = lcm(d, _echelon(embedding, r)[1])
-        basis = _hermite_mod(colors, r, d, k)
+        basis = _hermite_mod(colors, r, d)
         kept, block = _above_one(basis)
         index = prod(row[i] for i, row in enumerate(block))
-        n = len(kept)
-        ambient = _hermite_mod(
-            block + _onto_kept(basis, kept, embedding), n, gcd(index, d), n
-        )
-        outside = []
+        restricted = ()
         if sd.root_datum.simple_coroots:
             restricted = (sd.root_datum.coroot_matrix() @ sd.lattice_embedding).entries
-            outside = _outside_lattice(basis, restricted)
-            if k < r:
-                outside = sorted({*outside, *_outside_span(elimination, restricted)})
+        remainders = _remainders(basis, embedding + restricted)
+        images = [[row[t] for t in kept] for row in remainders[: len(embedding)]]
+        ambient = _hermite_mod(block + images, len(kept), gcd(index, d))
+        outside = [i for i, row in enumerate(remainders[len(embedding) :]) if any(row)]
+        if k < r and restricted:
+            outside = sorted({*outside, *_outside_span(elimination, restricted)})
         quotients = (
             _hermite_quotient(block, r - k),
             _hermite_quotient(_above_one(ambient)[1]),
@@ -409,13 +381,14 @@ def full_report(sd: SphericalDatum) -> Report:
     ambient one and the embedding-rank and coroot-span outcomes.  It
     costs one determinant (two below full column rank), two Hermite bases
     taken mod a determinant, the second only on the columns where the
-    first has a pivot above 1, and two certificate-free Smith forms of
-    their blocks with pivots above 1.  The coroots are restricted by one
-    product, which costs the nonzero entries of its operands, and each is
-    divided down the colors' basis; below full column rank, each also
-    takes the steps of the elimination of the colors.  pi1 and pi0 are
-    the p'-parts of the two quotients.  A failed coroot-span check is a
-    warning in ``validation``.
+    first has a pivot above 1, one division of the embedding's rows and
+    the restricted coroots down the first, and two certificate-free Smith
+    forms of the bases' blocks with pivots above 1.  The coroots are
+    restricted by one product, which costs the nonzero entries of its
+    operands; below full column rank, each also takes the steps of the
+    elimination of the colors.  pi1 and pi0 are the p'-parts of the two
+    quotients.  A failed coroot-span check is a warning in
+    ``validation``.
 
     The core is computed once, by the first call of any public entry point
     on ``sd`` or on a datum it shares its core with (see

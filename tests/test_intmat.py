@@ -16,9 +16,9 @@ from spherical_pi.intmat import (
     _echelon,
     _full_column_rank,
     _hermite_mod,
-    _outside_lattice,
     _outside_span,
     _rank_mod,
+    _remainders,
     snf,
     stack_rows,
 )
@@ -794,7 +794,7 @@ class TestHermiteMod:
             want = hermite_reference(m)
             # the determinant, the index itself, and bare multiples of it
             for modulus in (d, index, index * rng.randint(2, 40), index * (1 << 70)):
-                basis = _hermite_mod(m.entries, m.cols, modulus, m.cols)
+                basis = _hermite_mod(m.entries, m.cols, modulus)
                 assert basis == want, (m, modulus)
             assert math.prod(row[j] for j, row in enumerate(want)) == index
             s = snf(mat(want, cols=m.cols), with_u=False, with_v=False)
@@ -814,28 +814,28 @@ class TestHermiteMod:
                 k, d = _echelon(f.entries, n)[:2]
                 if k == n:
                     break
-            h = _hermite_mod(f.entries, n, d, n)
+            h = _hermite_mod(f.entries, n, d)
             e = sparse_matrix(rng, rng.randint(0, 4), n, 0.6, 3)
             both = stack_rows(f, e)
             got = _hermite_mod(h + [list(row) for row in e.entries], n,
-                               math.prod(row[j] for j, row in enumerate(h)), n)
+                               math.prod(row[j] for j, row in enumerate(h)))
             assert got == hermite_reference(both)
 
     def test_edge_shapes(self):
-        assert _echelon((), 0)[:2] == (0, 1) and _hermite_mod((), 0, 1, 0) == []
+        assert _echelon((), 0)[:2] == (0, 1) and _hermite_mod((), 0, 1) == []
         assert _echelon(((),), 0)[:2] == (0, 1)
         assert _echelon((), 2)[:2] == (0, 1)
         assert _echelon(((0, 0), (0, 0), (0, 0)), 2)[:2] == (0, 1)
         assert _echelon(((0, 3), (0, 5), (2, 7)), 2)[:2] == (2, 6)
-        assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6, 2) == [[2, 0], [0, 1]]
+        assert _hermite_mod(((0, 3), (0, 5), (2, 7)), 2, 6) == [[2, 0], [0, 1]]
         # an entry that is a multiple of the modulus counts as zero
-        assert _hermite_mod(((12, 7), (0, 1)), 2, 12, 2) == [[12, 0], [0, 1]]
+        assert _hermite_mod(((12, 7), (0, 1)), 2, 12) == [[12, 0], [0, 1]]
         # a column without a pivot takes no step
         assert _echelon(((0, 3, 1), (0, 6, 5), (0, 9, 6)), 3)[:2] == (2, 9)
-        assert _hermite_mod((), 2, 5, 0) == [[5, 0], [0, 5]]
-        assert _hermite_mod(((0, 0),), 2, 1, 0) == [[1, 0], [0, 1]]
-        assert _hermite_mod(((0, 3, 1),), 3, 1, 1) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        assert _hermite_mod(((0, 3, 1),), 3, 6, 1) == [[6, 0, 0], [0, 3, 1], [0, 0, 2]]
+        assert _hermite_mod((), 2, 5) == [[5, 0], [0, 5]]
+        assert _hermite_mod(((0, 0),), 2, 1) == [[1, 0], [0, 1]]
+        assert _hermite_mod(((0, 3, 1),), 3, 1) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert _hermite_mod(((0, 3, 1),), 3, 6) == [[6, 0, 0], [0, 3, 1], [0, 0, 2]]
 
 
 def deficient_case(rng, i):
@@ -883,33 +883,48 @@ class TestRankRevealing:
         assert all(ranks[True, k] >= 10 for k in range(6))
 
     def test_hermite_mod_at_every_rank_and_modulus(self):
-        # L(rows) + d Z^n, for every k up to the rank whose determinantal
-        # divisor divides d (k = 0 for any d), against the lattice itself
+        # L(rows) + d Z^n, for moduli that are multiples of the minor and
+        # moduli that are not, against the lattice itself
         rng = random.Random("hermite-mod of any rank")
         checked = Counter()
         for i in range(240):
             rows, n = deficient_case(rng, i)
             rank, minor = _echelon(rows, n)[:2]
-            diagonal = snf(mat(rows, cols=n), with_u=False, with_v=False).diagonal()
             for d in {1, rng.randint(2, 40), minor, minor * rng.randint(2, 9)}:
                 gens = rows + [[d * (i == j) for j in range(n)] for i in range(n)]
-                bases = []
-                for k in range(rank + 1):
-                    if d % math.prod(diagonal[:k]):
-                        continue
-                    basis = _hermite_mod(rows, n, d, k)
-                    assert len(basis) == n
-                    for j, row in enumerate(basis):
-                        assert len(row) == n and row[j] > 0 and not any(row[:j])
-                        assert all(0 <= basis[t][j] < row[j] for t in range(j))
-                    bases.append(basis)
-                    checked[k == rank, rank < n] += 1
-                # the Hermite basis of a lattice is unique
-                assert all(basis == bases[0] for basis in bases)
-                assert all(in_lattice(gens, row) for row in bases[0])
-                assert all(in_lattice(bases[0], row) for row in gens)
+                basis = _hermite_mod(rows, n, d)
+                assert len(basis) == n
+                for j, row in enumerate(basis):
+                    assert len(row) == n and row[j] > 0 and not any(row[:j])
+                    assert all(0 <= basis[t][j] < row[j] for t in range(j))
+                assert all(in_lattice(gens, row) for row in basis)
+                assert all(in_lattice(basis, row) for row in gens)
+                checked[d % minor == 0, rank < n] += 1
         assert checked[True, True] >= 100 and checked[False, True] >= 100
         assert checked[True, False] >= 50
+
+    def test_hermite_mod_of_any_modulus_against_hnf(self):
+        # d is drawn with no regard to the divisors of the rows: 1, a prime,
+        # a value coprime to the product s of the nonzero invariant factors
+        # and a value below s
+        rng = random.Random("hermite-mod of any modulus")
+        primes = (2, 3, 5, 7, 11, 13, 101, 65537, _P)
+        seen = Counter()
+        for i in range(300):
+            rows, n = deficient_case(rng, i)
+            res = snf(mat(rows, cols=n), with_u=False, with_v=False)
+            s = math.prod(res.diagonal()[: res.rank])
+            coprime = rng.randint(2, 10**6)
+            while math.gcd(coprime, s) > 1:
+                coprime += 1
+            for d in (1, rng.choice(primes), coprime, rng.randint(1, max(s - 1, 1))):
+                gens = rows + [[d * (i == j) for j in range(n)] for i in range(n)]
+                assert _hermite_mod(rows, n, d) == hermite_reference(mat(gens, cols=n))
+                seen[bool(rows), s % d > 0, res.rank < n] += 1
+        # rows and a modulus that s is no multiple of, below full rank and at it
+        assert seen[True, True, True] >= 200 and seen[True, True, False] >= 50, seen
+        # the lattice L + 2 Z^2 of L = 4 Z^2 is 2 Z^2, whatever the minor 16
+        assert _hermite_mod(((4, 0), (0, 4)), 2, 2) == [[2, 0], [0, 2]]
 
     def test_outside_span_against_the_rank_of_each_stacked_probe(self):
         # probes in the row space over Q (combinations, one of them with a
@@ -938,7 +953,7 @@ class TestRankRevealing:
         elimination = _echelon(((0, 3, 1),), 3)[2]
         assert _outside_span(elimination, [(0, 6, 2), (1, 0, 0)]) == [1]
 
-    def test_outside_lattice_against_solve_in_lattice(self):
+    def test_remainders_against_solve_in_lattice(self):
         # bases from _hermite_mod at full rank and below it, and upper-
         # triangular ones left unreduced above their pivots; probes in the
         # lattice (zero, combinations of the rows) and maybe outside it
@@ -948,7 +963,7 @@ class TestRankRevealing:
         for i in range(300):
             rows, n = deficient_case(rng, i)
             rank, minor = _echelon(rows, n)[:2]
-            hermite = _hermite_mod(rows, n, minor * rng.randint(1, 4), rank)
+            hermite = _hermite_mod(rows, n, minor * rng.randint(1, 4))
             unreduced = [
                 [0] * j + [rng.randint(1, 6)] + [rng.randint(-30, 30) for _ in range(j + 1, n)]
                 for j in range(n)
@@ -964,21 +979,28 @@ class TestRankRevealing:
                     for row in generators[:1]:
                         if (g := math.gcd(*row)) > 1:
                             probes.append([x // g for x in row])
-                want = [t for t, probe in enumerate(probes) if not in_lattice(basis, probe)]
-                assert _outside_lattice(basis, probes) == want
-                seen[kind, bool(want)] += 1
+                remainders = _remainders(basis, probes)
+                assert len(remainders) == len(probes)
+                outside = 0
+                for probe, rem in zip(probes, remainders):
+                    assert any(rem) != in_lattice(basis, probe)
+                    assert in_lattice(basis, [c - x for c, x in zip(probe, rem)])
+                    assert all(0 <= rem[j] < row[j] for j, row in enumerate(basis))
+                    outside += any(rem)
+                seen[kind, outside > 0] += 1
         for kind in (("hermite", True), ("hermite", False), ("unreduced", False)):
             assert seen[kind, True] >= 20 and seen[kind, False] >= 20, seen
-        assert _outside_lattice([], [(), ()]) == []
+        assert _remainders([], [(), ()]) == [[], []]
         # (2, 5) is unreduced above the pivot 3; (2, 0) leaves -5 at column 1
         probes = [(2, 5), (2, 8), (0, 3), (2, 0), (1, 0)]
-        assert _outside_lattice([[2, 5], [0, 3]], probes) == [3, 4]
+        assert _remainders([[2, 5], [0, 3]], probes) == [
+            [0, 0], [0, 0], [0, 0], [0, 1], [1, 0]
+        ]
 
     def test_a_dropped_tail_is_taken_back(self):
-        # rows (2, 1) at rank 1 with d = 4: m = 16 and R = 4 at column 0,
-        # whose pivot 2 leaves R / 2 = 2 times the tail 1, which the next R
-        # of 4 does not divide; without it, (0, 2) would be missing
-        assert _hermite_mod(((2, 1),), 2, 4, 1) == [[2, 1], [0, 2]]
+        # rows (2, 1) with d = 4: the pivot 2 at column 0 leaves 4 / 2 = 2
+        # times the tail 1 in the lattice; without it, (0, 2) would be missing
+        assert _hermite_mod(((2, 1),), 2, 4) == [[2, 1], [0, 2]]
 
 
 def test_diagonal_agrees_with_sympy():

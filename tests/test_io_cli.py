@@ -645,13 +645,16 @@ class TestCli:
 
     def test_catalog_run_requires_name(self, capsys):
         assert main(["catalog", "run"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: catalog run requires an entry name\n"
 
     @pytest.mark.parametrize("action", ["list", "run-all"])
     def test_catalog_list_and_run_all_take_no_name(self, capsys, action):
         assert main(["catalog", action, "bogus"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"catalog {action} takes no entry name\n"
+        assert captured.err == f"error: catalog {action} takes no entry name\n"
 
     def test_catalog_run_all(self, capsys):
         assert main(["catalog", "run-all"]) == 0

@@ -169,7 +169,7 @@ class TestSpanCheckAgainstReference:
 MOD_P = "_rank_mod"
 DET = "_echelon"
 HNF = "_hermite_mod"
-LATTICE = "_outside_lattice"
+REMAINDERS = "_remainders"
 SPAN = "_outside_span"
 
 
@@ -178,10 +178,10 @@ def record_snf(monkeypatch, requests=None):
 
     Every loaded ``spherical_pi`` module that binds ``snf`` is patched, so
     a new caller cannot escape the count.  ``intmat._rank_mod``,
-    ``intmat._echelon``, ``intmat._hermite_mod``, ``intmat._outside_lattice``
+    ``intmat._echelon``, ``intmat._hermite_mod``, ``intmat._remainders``
     and ``intmat._outside_span`` are patched alike, and their calls go to
     the same list as ``(MOD_P, rows, cols)``, ``(DET, rows, cols)``,
-    ``(HNF, rows, cols)``, ``(LATTICE, probes)`` and ``(SPAN, probes)``.
+    ``(HNF, rows, cols)``, ``(REMAINDERS, rows)`` and ``(SPAN, probes)``.
 
     ``requests``, when given, collects the certificate keywords
     ``(with_u, with_v)`` of every call to snf.
@@ -203,13 +203,13 @@ def record_snf(monkeypatch, requests=None):
         calls.append((DET, len(rows), n))
         return real(rows, n)
 
-    def counting_hnf(rows, n, d, k, real=intmat._hermite_mod):
+    def counting_hnf(rows, n, d, real=intmat._hermite_mod):
         calls.append((HNF, len(rows), n))
-        return real(rows, n, d, k)
+        return real(rows, n, d)
 
-    def counting_lattice(basis, probes, real=intmat._outside_lattice):
-        calls.append((LATTICE, len(probes)))
-        return real(basis, probes)
+    def counting_remainders(basis, rows, real=intmat._remainders):
+        calls.append((REMAINDERS, len(rows)))
+        return real(basis, rows)
 
     def counting_span(elimination, probes, real=intmat._outside_span):
         calls.append((SPAN, len(probes)))
@@ -220,7 +220,7 @@ def record_snf(monkeypatch, requests=None):
         "_rank_mod": (intmat._rank_mod, counting_mod),
         "_echelon": (intmat._echelon, counting_det),
         "_hermite_mod": (intmat._hermite_mod, counting_hnf),
-        "_outside_lattice": (intmat._outside_lattice, counting_lattice),
+        "_remainders": (intmat._remainders, counting_remainders),
         "_outside_span": (intmat._outside_span, counting_span),
     }
     for name, module in list(sys.modules.items()):
@@ -242,18 +242,18 @@ def hermite_route(n, kept):
     """The kernel calls of the core of a rank-n group case ``group_case``.
 
     The determinant of a minor of the n x n colors, their Hermite basis
-    mod it, the basis's block on its ``kept`` pivots above 1 stacked on
-    the 2n rows of the embedding [I; -I] mapped onto those columns, mod
-    its own determinant, the 2n restricted coroots divided down the
-    colors' basis, and the Smith forms of the two bases on their pivots
-    above 1: ``kept`` of them, and none for the ambient basis, which the
-    embedding makes I.
+    mod it, the 2n rows of the embedding [I; -I] and the 2n restricted
+    coroots divided down that basis in one call, the basis's block on its
+    ``kept`` pivots above 1 stacked on the embedding's remainders on
+    those columns, mod its own determinant, and the Smith forms of the
+    two bases on their pivots above 1: ``kept`` of them, and none for the
+    ambient basis, which the embedding makes I.
     """
     return [
         (DET, n, n),
         (HNF, n, n),
+        (REMAINDERS, 4 * n),
         (HNF, kept + 2 * n, kept),
-        (LATTICE, 2 * n),
         (kept, kept),
         (0, 0),
     ]
@@ -321,6 +321,7 @@ class TestSnfBudget:
             (DET, 2, 3),
             (DET, 3, 3),
             (HNF, 2, 3),
+            (REMAINDERS, 3),
             (HNF, 6, 3),
             (3, 3),
             (0, 0),
@@ -330,9 +331,9 @@ class TestSnfBudget:
     def test_deficient_colors_carry_the_coroots_through_one_elimination(
         self, monkeypatch, colors
     ):
-        # the coroot is divided down the basis and takes the steps of the
-        # elimination that found the rank of F, whether it passes the check
-        # or fails it.  The basis of L(F) + d Z^2 is I for d = 1, and 2 I
+        # the coroot is divided down the basis with the two rows of the
+        # embedding and takes the steps of the elimination that found the
+        # rank of F, whether it passes the check or fails it.  The basis of L(F) + d Z^2 is I for d = 1, and 2 I
         # for [[2, 0]], where d = 2; the ambient basis is as wide as its
         # pivots above 1
         kept = 2 if colors == [[2, 0]] else 0
@@ -343,8 +344,8 @@ class TestSnfBudget:
             (DET, 1, 2),
             (DET, 2, 2),
             (HNF, 1, 2),
+            (REMAINDERS, 3),
             (HNF, kept + 2, kept),
-            (LATTICE, 1),
             (SPAN, 1),
         ]
 
@@ -369,8 +370,8 @@ class TestSnfBudget:
             (DET, n - 1, n),
             (DET, 2 * n, n),
             (HNF, n - 1, n),
+            (REMAINDERS, 4 * n),
             (HNF, 1 + 2 * n, 1),
-            (LATTICE, 2 * n),
             (SPAN, 2 * n),
         ]
 
@@ -620,7 +621,7 @@ def colors_basis(sd):
     k, d, _ = intmat._echelon(colors, r)
     if k < r:
         d = math.lcm(d, intmat._echelon(embedding, r)[1])
-    return intmat._hermite_mod(colors, r, d, k), d
+    return intmat._hermite_mod(colors, r, d), d
 
 
 def kept_width(sd):
@@ -637,7 +638,7 @@ def full_width_ambient_quotient(sd):
     r = sd.rank
     index = math.prod(row[j] for j, row in enumerate(basis))
     rows = basis + list(sd.lattice_embedding.entries)
-    full = intmat._hermite_mod(rows, r, math.gcd(index, d), r)
+    full = intmat._hermite_mod(rows, r, math.gcd(index, d))
     return spherical._hermite_quotient(spherical._above_one(full)[1])
 
 
