@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 from .catalog import catalog, catalog_entry, run_entry
 from .documents import ParseError, format_pi, parse, serialize_report
@@ -104,8 +105,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach :func:`main`'s handler,
+    which prints them as one ``error:`` line and exits 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spherical-pi",
         description=(
             "Prime-to-p parts of component and fundamental groups of "
@@ -142,9 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

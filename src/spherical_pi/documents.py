@@ -30,16 +30,24 @@ Documents and structured reports are written in one canonical format:
 sorted keys, two-space indent, one list entry per line, ASCII with
 ``\\uXXXX`` escapes, and a trailing newline, so they round-trip
 bit-exactly and diff cleanly.  These are the bytes of
-``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.  CPython 3.13
-and later write them with that call, whose C encoder handles the indent;
-earlier versions, whose encoder falls back to pure Python under an
-indent, use the writer here, which joins each list of ints at once.
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.  The writer here
+writes them: before CPython 3.13 that call runs in pure Python under an
+indent, and from 3.13 its C encoder is no faster on a group case.  The
+writer's cost follows the support of the data.  A row of ints that is
+mostly zeros, as the matrices of a group case are, costs its nonzero
+entries: each run of zeros is a slice of one run of zero text.  A
+denser row is one join, and a matrix is one call.  A report echoes its
+input, whose ``root_datum``, ``lattice`` and ``colors`` are the same at
+every p: a datum renders them on its first structured report and holds
+them the way it holds its core, so its ``with_char_exponent`` copies
+share them and each report splices them in.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from itertools import compress
 from typing import Any
 
 from .intmat import _INT_ONLY, IntMatrix
@@ -189,7 +197,8 @@ def _parse_root_datum(raw: Any) -> RootDatum:
             exp["simple_coroots"], "root_datum.explicit.simple_coroots", rank, rank
         )
         try:
-            return RootDatum(rank, tuple(roots), tuple(coroots))
+            # _expect_vector checked every entry already
+            return RootDatum._trusted(rank, tuple(roots), tuple(coroots))
         except ValueError as exc:
             raise ParseError(f"'root_datum.explicit': {exc}") from exc
     raise ParseError(
@@ -250,40 +259,102 @@ def document_dict(sd: SphericalDatum) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
-# from 3.13 the stdlib's C encoder handles ``indent``; see the module docstring
-_STDLIB_WRITES_FAST = sys.version_info >= (3, 13)
+# ``_STR_ONLY.issuperset(map(type, d))``: every key of d is an exact str
+_STR_ONLY = frozenset((str,))
+
+
+class _Text(str):
+    """Canonical text of a value at its place in a document, which
+    :func:`_write_canonical` writes as it stands."""
+
+
+def _join_ints(row: Any, sep: str) -> str:
+    """``sep.join(map(int.__repr__, row))``: a row of ints, never bools,
+    as ``json.dumps`` writes them, an int subclass as an int.
+
+    A row that is mostly zeros costs its nonzero entries: each run of
+    zeros between them is a slice of one run of ``"0" + sep`` text.  A
+    denser row keeps the one join, which is faster there.
+    """
+    n = len(row)
+    if 4 * (n - row.count(0)) >= n:
+        return sep.join(map(int.__repr__, row))
+    width = len(sep) + 1
+    zeros = ("0" + sep) * n
+    pieces = []
+    start = 0
+    for j in compress(range(n), row):
+        if j > start:
+            pieces.append(zeros[: (j - start) * width - len(sep)])
+        pieces.append(int.__repr__(row[j]))
+        start = j + 1
+    if start < n:
+        pieces.append(zeros[: (n - start) * width - len(sep)])
+    return sep.join(pieces)
+
+
+def _int_row(row: Any, pad: str) -> str:
+    """The text of a nonempty row of ints, never bools, indented by ``pad``."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return f"[\n{inner}{_join_ints(row, sep)}\n{pad}]"
+
+
+def _int_rows(rows: Any, pad: str) -> _Text:
+    """The text of a datum's matrix, indented by ``pad``.
+
+    ``IntMatrix`` and ``RootDatum`` refuse bools, so its entries are ints
+    and no entry's type is checked.
+    """
+    if not rows:
+        return _Text("[]")
+    inner = pad + "  "
+    body = (",\n" + inner).join(_int_row(row, inner) if row else "[]" for row in rows)
+    return _Text(f"[\n{inner}{body}\n{pad}]")
 
 
 def _write_canonical(value: Any, pad: str, out: list[str]) -> None:
     """Append ``json.dumps(value, indent=2, sort_keys=True)``, indented by ``pad``.
 
-    A list of exact ints, which is most of a report, is written with one
-    join.  Bools, None, int subclasses and dicts with a non-str key are
-    left to ``json.dumps``, its lines shifted by ``pad``.
+    A list of exact ints, which is most of a report, is written by
+    :func:`_int_row`, and so is each such row of a list, in the call
+    that writes the list: a matrix is one call.  A :class:`_Text` is
+    written as it stands.  Bools, None, int subclasses and dicts with a
+    key that is not an exact str are left to ``json.dumps``, its lines
+    shifted by ``pad``.
     """
     if isinstance(value, str):
-        out.append(_encode_str(value))
+        out.append(value if type(value) is _Text else _encode_str(value))
     elif type(value) is int:
         out.append(str(value))
     elif isinstance(value, (list, tuple, dict)) and not value:
         out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, (list, tuple)):
-        inner = pad + "  "
         if _INT_ONLY.issuperset(map(type, value)):
-            out.append(f"[\n{inner}" + (",\n" + inner).join(map(str, value)))
-        else:
-            sep = "[\n" + inner
-            for x in value:
-                out.append(sep)
+            out.append(_int_row(value, pad))
+            return
+        inner = pad + "  "
+        lead = "[\n" + inner
+        for x in value:
+            out.append(lead)
+            lead = ",\n" + inner
+            if x and isinstance(x, (list, tuple)) and _INT_ONLY.issuperset(map(type, x)):
+                out.append(_int_row(x, inner))
+            else:
                 _write_canonical(x, inner, out)
-                sep = ",\n" + inner
         out.append(f"\n{pad}]")
-    elif isinstance(value, dict) and all(isinstance(k, str) for k in value):
+    elif isinstance(value, dict) and _STR_ONLY.issuperset(map(type, value)):
         inner = pad + "  "
         sep = "{\n" + inner
         for k, v in sorted(value.items()):
             out.append(f"{sep}{_encode_str(k)}: ")
-            _write_canonical(v, inner, out)
+            # most values of a report are these leaves, written here
+            if type(v) is str:
+                out.append(_encode_str(v))
+            elif type(v) is int:
+                out.append(str(v))
+            else:
+                _write_canonical(v, inner, out)
             sep = ",\n" + inner
         out.append(f"\n{pad}}}")
     else:
@@ -293,8 +364,6 @@ def _write_canonical(value: Any, pad: str, out: list[str]) -> None:
 
 def dumps_document(doc: dict) -> str:
     """Canonical JSON text of a document or report; see the module docstring."""
-    if _STDLIB_WRITES_FAST:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     out: list[str] = []
     _write_canonical(doc, "", out)
     return "".join(out) + "\n"
@@ -336,11 +405,44 @@ def _pi_dict(pi: PiResult) -> dict:
     }
 
 
+def _input_block(sd: SphericalDatum) -> dict:
+    """The input block of a structured report of ``sd``.
+
+    Its p-free parts are rendered on first use and held like the core of
+    :func:`~spherical_pi.spherical.full_report`: ``sd`` and its
+    ``with_char_exponent`` copies share them, and every report splices
+    them in with its own label and p.
+    """
+    held = sd._input_block  # type: ignore[attr-defined]
+    if not held:
+        # the parts of document_dict(sd), each at its place in a report
+        rd = sd.root_datum
+        explicit = {
+            "rank": rd.rank,
+            "simple_roots": _int_rows(rd.simple_roots, " " * 8),
+            "simple_coroots": _int_rows(rd.simple_coroots, " " * 8),
+        }
+        out: list[str] = []
+        _write_canonical({"explicit": explicit}, "    ", out)
+        held.append(
+            {
+                "root_datum": _Text("".join(out)),
+                "lattice": _int_rows(sd.lattice_embedding.transpose().entries, "    "),
+                "colors": _int_rows(sd.colors.entries, "    "),
+            }
+        )
+    return {**held[0], "label": sd.label, "p": sd.char_exponent}
+
+
 def report_dict(report: Report) -> dict:
+    return _report_dict(report, document_dict(report.datum))
+
+
+def _report_dict(report: Report, input_block: dict) -> dict:
     return {
         "label": report.datum.label,
         "p": report.datum.char_exponent,
-        "input": document_dict(report.datum),
+        "input": input_block,
         "saturation_quotient": _quotient_dict(report.saturation_quotient),
         "ambient_saturation_quotient": _quotient_dict(
             report.ambient_saturation_quotient
@@ -362,7 +464,7 @@ def serialize_report(report: Report, format: str = "text") -> str:
     golden files.
     """
     if format == "structured":
-        return dumps_document(report_dict(report))
+        return dumps_document(_report_dict(report, _input_block(report.datum)))
     if format != "text":
         raise ValueError(f"unknown report format {format!r}")
     p = report.datum.char_exponent

@@ -196,6 +196,26 @@ class RootDatum:
                         _check_int(x)
                 vectors.append(v)
             object.__setattr__(self, name, tuple(vectors))
+        self._check()
+
+    @classmethod
+    def _trusted(
+        cls,
+        rank: int,
+        simple_roots: tuple[tuple[int, ...], ...],
+        simple_coroots: tuple[tuple[int, ...], ...],
+    ) -> "RootDatum":
+        """A datum whose vectors are tuples of ints by construction or by an
+        earlier check: every check of ``__init__`` but the entry types."""
+        rd = object.__new__(cls)
+        object.__setattr__(rd, "rank", rank)
+        object.__setattr__(rd, "simple_roots", simple_roots)
+        object.__setattr__(rd, "simple_coroots", simple_coroots)
+        rd._check()
+        return rd
+
+    def _check(self) -> None:
+        """The checks of the rank, the shapes and the pairing matrix."""
         _check_count(self.rank, "rank")
         roots, coroots = self.simple_roots, self.simple_coroots
         if len(roots) != len(coroots):
@@ -299,7 +319,7 @@ def build_standard(
         raise ValueError(
             f"isogeny must be {SIMPLY_CONNECTED!r} or {ADJOINT!r}, got {isogeny!r}"
         )
-    return RootDatum(n + central_torus_rank, roots, coroots)
+    return RootDatum._trusted(n + central_torus_rank, roots, coroots)
 
 
 def restrict_coroots(rd: RootDatum, embedding: IntMatrix) -> IntMatrix:

@@ -95,9 +95,11 @@ class SphericalDatum:
         if not _full_column_rank(self.lattice_embedding):
             raise ValueError("lattice embedding is rank-deficient")
         _check_char_exponent(self.char_exponent)
-        # the characteristic-free core of full_report, empty until its first
-        # call; not a field, so ==, hash, repr and replace ignore it
+        # the characteristic-free core of full_report and the p-free parts of
+        # a structured report's input block, each empty until first read; not
+        # fields, so ==, hash, repr and replace ignore them
         object.__setattr__(self, "_core", [])
+        object.__setattr__(self, "_input_block", [])
 
     @property
     def rank(self) -> int:
@@ -117,8 +119,9 @@ class SphericalDatum:
         """This datum at characteristic exponent ``p``.
 
         The copy shares the characteristic-free core of :func:`full_report`
-        with this datum, which every other field, being immutable, makes
-        safe: a report of either fills it for both.
+        and the rendered input block of a structured report with this
+        datum, which every other field, being immutable, makes safe: a
+        report of either fills them for both.
         """
         # only p is new: the shapes and the embedding rank were checked
         _check_char_exponent(p)

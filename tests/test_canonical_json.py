@@ -1,20 +1,22 @@
 """The canonical JSON writer against the standard library's encoder.
 
-``documents.dumps_document`` writes with ``documents._write_canonical``
-before CPython 3.13 and with ``json.dumps`` from 3.13 on.  These tests
-call the writer directly, so they hold it to the bytes of
-``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` on every version.
+``documents.dumps_document`` and ``serialize_report`` write with
+``documents._write_canonical``; these tests hold it to the bytes of
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
 """
 
+import dataclasses
 import json
 import random
 
 import pytest
 
 from make_golden import random_documents
+from spherical_pi import documents
 from spherical_pi.catalog import CHARACTERISTICS, _group_case, catalog
 from spherical_pi.documents import (
     MAX_ENTRY_BITS,
+    _join_ints,
     _write_canonical,
     document_dict,
     dumps_document,
@@ -138,3 +140,165 @@ class TestIntSubclassEntries:
         assert_same_bytes(report_dict(report))
         text = serialize_report(report, format="structured")
         assert text == reference(report_dict(report)) and "two" not in text
+
+    def test_among_zeros_in_every_matrix_of_a_report(self):
+        def unit(i, x, n=8):
+            return tuple(x if j == i else 0 for j in range(n))
+
+        rd = RootDatum(8, (unit(0, _Two(1)),), (unit(0, 2),))
+        lattice = IntMatrix.from_rows([unit(i, _Two(1) if i % 2 else 1) for i in range(8)])
+        colors = IntMatrix.from_rows([unit(7 - i, _Two(2)) for i in range(8)])
+        sd = SphericalDatum(rd, lattice, colors, 1, label="subclasses")
+        assert type(sd.colors.entries[0][7]) is _Two
+        for p in CHARACTERISTICS:
+            report = full_report(sd.with_char_exponent(p))
+            text = serialize_report(report, format="structured")
+            assert text == reference(report_dict(report)) and "two" not in text
+
+
+BIG = 2**MAX_ENTRY_BITS - 1
+
+# rows of exact ints, most of them mostly zeros, so that both routes of
+# _join_ints are taken: zero runs sliced around the nonzero entries, and
+# the one join of a dense row
+SPARSE_ROWS = {
+    "all-zero": [0] * 40,
+    "one-zero": [0],
+    "first": [7] + [0] * 39,
+    "middle": [0] * 20 + [-3] + [0] * 19,
+    "last": [0] * 39 + [5],
+    "first-and-last": [1] + [0] * 38 + [-1],
+    "alternating": [0, 1] * 20,
+    "alternating-from-nonzero": [2, 0] * 20,
+    "negative-among-zeros": [0] * 9 + [-1] + [0] * 20 + [-BIG] + [0] * 9,
+    "256-bit-among-zeros": [0, BIG, 0, 0, 0, 0, 0, 0, 0, -BIG, 0, 0, 0, 0, 0, 0],
+    "one-in-four": [0, 0, 0, 9] * 10,
+    "dense": list(range(-20, 20)),
+}
+
+
+class TestZeroRuns:
+    """Rows written as zero runs around their nonzero entries."""
+
+    @pytest.mark.parametrize("row", SPARSE_ROWS.values(), ids=SPARSE_ROWS.keys())
+    @pytest.mark.parametrize("sep", [",", ",\n  ", ",\n        "])
+    def test_join_ints_is_the_join(self, row, sep):
+        for r in (row, tuple(row)):
+            assert _join_ints(r, sep) == sep.join(map(str, r))
+
+    @pytest.mark.parametrize("row", SPARSE_ROWS.values(), ids=SPARSE_ROWS.keys())
+    def test_rows_alone_and_in_a_matrix(self, row):
+        assert_same_bytes(row)
+        assert_same_bytes([row, row[::-1], [0] * len(row)])
+        assert_same_bytes({"input": {"colors": [row, row], "p": 1}, "q": [row]})
+        assert_same_bytes([tuple(row), row])
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [[], [0, 0, 0, 0, 0], []],
+            [[]],
+            [[0] * 30, [0, 1], [], [0] * 12 + [4], [5]],
+            [[1], [0] * 50, [0] * 49 + [1], list(range(7))],
+            {"m": [[0] * 17, [], [0] * 16 + [-BIG]], "n": [[0]]},
+        ],
+        ids=["empty-rows", "one-empty-row", "ragged", "ragged-long", "ragged-in-dict"],
+    )
+    def test_empty_rows_and_ragged_matrices(self, doc):
+        assert_same_bytes(doc)
+
+    def test_a_matrix_with_other_values_among_its_rows(self):
+        row = [0] * 10 + [3] + [0] * 10
+        assert_same_bytes([row, {"a": row}, 0, "s", [row], None, row])
+
+    @pytest.mark.parametrize("odd", [True, False, _Two(2), None, 1.5])
+    def test_an_odd_entry_among_zeros(self, odd):
+        row = [0] * 12 + [odd] + [0] * 12
+        for doc in (row, [row, [0] * 25], {"m": [[0] * 25, row]}):
+            assert_same_bytes(doc)
+            text = written(doc)
+            assert "True" not in text and "False" not in text and "two" not in text
+
+    def test_random_sparse_matrices(self):
+        rng = random.Random("zero-runs")
+        for _ in range(300):
+            width = rng.randint(0, 60)
+            density = rng.choice([0.0, 0.02, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0])
+            rows = [
+                [
+                    rng.choice([1, -1, 2, -7, BIG, -BIG, 10**30])
+                    if rng.random() < density
+                    else 0
+                    for _ in range(width if rng.random() < 0.8 else rng.randint(0, 60))
+                ]
+                for _ in range(rng.randint(1, 8))
+            ]
+            assert_same_bytes({"m": rows, "r": rows[0]})
+
+
+def report_bytes(sd):
+    return serialize_report(full_report(sd), format="structured")
+
+
+class TestSharedInputBlock:
+    """A datum and its copies at other p share one rendered input block."""
+
+    @staticmethod
+    def with_p(text, p):
+        return json.dumps(dict(json.loads(text), p=p))
+
+    def test_reports_through_shared_copies_match_fresh_parses(self):
+        rng = random.Random("shared-input-block")
+        texts = [e.document for e in catalog()] + [t for _, t in random_documents()]
+        texts += [_group_case(s, n, {}).document for s, n in [("A", 20), ("D", 9)]]
+        for text in texts:
+            sd = parse(text)
+            ps = sorted({*CHARACTERISTICS, sd.char_exponent})
+            rng.shuffle(ps)
+            # each datum is a copy of the one before, the parsed one first
+            for p in ps:
+                sd = sd.with_char_exponent(p)
+                fresh = full_report(parse(self.with_p(text, p)))
+                got = report_bytes(sd)
+                assert got == reference(report_dict(fresh)), (text, p)
+                assert got == serialize_report(fresh, format="structured")
+
+    def test_a_replaced_or_rebuilt_datum_renders_its_own_block(self):
+        sd = parse(catalog()[0].document)
+        report_bytes(sd)
+        report_bytes(sd.with_char_exponent(3))
+        colors = IntMatrix.from_rows([[2 * x for x in row] for row in sd.colors.entries])
+        others = [
+            dataclasses.replace(sd, colors=colors),
+            dataclasses.replace(sd, label="renamed"),
+            dataclasses.replace(sd, char_exponent=5),
+            SphericalDatum(sd.root_datum, sd.lattice_embedding, colors, 2, "rebuilt"),
+        ]
+        for other in others:
+            assert other._input_block is not sd._input_block
+            want = reference(report_dict(full_report(other)))
+            assert report_bytes(other) == want
+            assert report_bytes(other.with_char_exponent(7)) == reference(
+                report_dict(full_report(other.with_char_exponent(7)))
+            )
+        assert report_bytes(sd) == reference(report_dict(full_report(sd)))
+
+    def test_four_reports_render_the_matrices_once(self, monkeypatch):
+        sd = parse(_group_case("A", 6, {}).document)
+        rendered = []
+        render = documents._int_rows
+
+        def spy(rows, pad):
+            rendered.append(rows)
+            return render(rows, pad)
+
+        monkeypatch.setattr(documents, "_int_rows", spy)
+        texts = [report_bytes(sd.with_char_exponent(p)) for p in CHARACTERISTICS]
+        assert len(texts) == 4
+        rd = sd.root_datum
+        assert rendered == [
+            rd.simple_roots,
+            rd.simple_coroots,
+            sd.lattice_embedding.transpose().entries,
+            sd.colors.entries,
+        ]

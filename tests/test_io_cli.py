@@ -656,6 +656,54 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: catalog {action} takes no entry name\n"
 
+    # argparse words its messages differently across versions after the
+    # part given here, so each is matched up to it
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["catalog", "bogus"], "spherical-pi catalog: argument action: invalid choice: 'bogus'"),
+            (["compute"], "spherical-pi compute: the following arguments are required: file"),
+            ([], "spherical-pi: the following arguments are required: command"),
+            (["bogus"], "spherical-pi: argument command: invalid choice: 'bogus'"),
+            (
+                ["oracle", "doc.json"],
+                "spherical-pi oracle: the following arguments are required: --torsion",
+            ),
+            (["compute", "doc.json", "--p", "q"], "spherical-pi compute: argument --p: "),
+            (["validate", "doc.json", "--bogus"], "spherical-pi: unrecognized arguments: "),
+        ],
+        ids=["catalog-bogus", "compute-no-file", "no-command", "bogus-command",
+             "oracle-no-torsion", "p-not-int", "unknown-option"],
+    )
+    def test_a_usage_error_prints_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["compute", "--help"], ["catalog", "-h"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: spherical-pi")
+
+    def test_a_usage_error_exits_2_from_the_command_line(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(documents.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherical_pi", "catalog", "bogus"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: spherical-pi catalog: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_catalog_run_all(self, capsys):
         assert main(["catalog", "run-all"]) == 0
         out = capsys.readouterr().out

@@ -532,6 +532,7 @@ class TestRootDatumAgainstReference:
             rank, roots, coroots = mutated_cartan(rng, kind)
             want = raised(reference_root_datum_check, rank, roots, coroots)
             assert raised(RootDatum, rank, roots, coroots) == want
+            assert raised(RootDatum._trusted, rank, roots, coroots) == want
             kinds[next(k for k in checks if k in want[1])] += 1
         if kind == "one row":
             assert min(kinds["expected 2"], kinds["positive"]) >= 30, kinds
@@ -548,6 +549,12 @@ class TestRootDatumAgainstReference:
             rank, roots, coroots = random_explicit(rng)
             want = raised(reference_root_datum_check, rank, roots, coroots)
             assert raised(RootDatum, rank, roots, coroots) == want
+            # the constructor for vectors already checked, as parse's are
+            assert raised(RootDatum._trusted, rank, roots, coroots) == want
+            if want is None:
+                assert RootDatum._trusted(rank, roots, coroots) == RootDatum(
+                    rank, roots, coroots
+                )
             seen[next((k for k in kinds if k in want[1]), want) if want else None] += 1
         # accepted data and every kind of rejection must all occur
         for kind in (None,) + kinds:
@@ -563,6 +570,25 @@ class TestRootDatumAgainstReference:
         assert parse(text).root_datum.semisimple_rank == 4
         build_standard("E", 8, ADJOINT)
         assert checked == []
+
+    def test_parse_scans_root_entries_once(self, monkeypatch):
+        # parse scans each vector for a non-int entry, so the RootDatum it
+        # builds does not scan them again; the public constructor does
+        scanned = []
+
+        class Recorder(frozenset):
+            def issuperset(self, types):
+                scanned.append(1)
+                return super().issuperset(types)
+
+        doc = catalog_entry("group_case_A2_adjoint").document
+        text = serialize_datum(parse(doc))
+        monkeypatch.setattr(root_data, "_INT_ONLY", Recorder((int,)))
+        rd = parse(text).root_datum
+        build_standard("E", 8, ADJOINT)
+        assert scanned == []
+        assert RootDatum(rd.rank, rd.simple_roots, rd.simple_coroots) == rd
+        assert len(scanned) == 2 * rd.semisimple_rank
 
     def test_root_and_coroot_matrices_pass_the_entry_check(self):
         rng = random.Random(5151)

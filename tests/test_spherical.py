@@ -400,10 +400,11 @@ class TestSharedCore:
                     assert got == serialize_report(fresh, format=fmt), (text, p)
 
     def test_a_reported_datum_still_equals_a_fresh_parse(self):
+        # structured reports fill the held input block beside the core
         for text in all_documents()[::5]:
             sd = parse(text)
-            full_report(sd.with_char_exponent(2))
-            full_report(sd)
+            serialize_report(full_report(sd.with_char_exponent(2)), format="structured")
+            serialize_report(full_report(sd), format="structured")
             fresh = parse(text)
             assert sd == fresh
             assert hash(sd) == hash(fresh)
