@@ -10,15 +10,21 @@ The pipeline asks only for what it reads: ``dual_saturation`` takes
 only by the independent verification route, :mod:`spherical_pi.verify`.
 
 The report reads its quotients and the coroot-span check off Hermite
-bases.  ``_echelon`` finds the rank k of a matrix and the determinant
-of a nonsingular k x k row minor by a fraction-free elimination,
-``_outside_span`` carries other rows through its steps to find those
-outside its row space over Q, and ``_hermite_mod`` computes the Hermite
-basis of ``L(rows) + d Z^n``, for any d >= 1, with every entry kept
-below d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and Trotter 1987).
-At full rank, with d a multiple of the index, that lattice is the row
-lattice itself.  ``_remainders`` divides other rows down such a basis;
-a row lies in its lattice exactly when its remainder is 0.
+bases.  ``_echelon`` runs one fraction-free elimination of a stack of
+rows and finds the rank k of its first rows and the determinant of the
+minor on every pivot.  For the stack [F; E] of the colors and the
+embedding, which has full column rank, that minor is a multiple of F's
+k-th determinantal divisor and of the index of ``L([F; E])``.
+``_outside_span`` carries other rows through the steps of F's rows to
+find those outside its row space over Q.  ``_hermite_mod`` computes the
+Hermite basis of ``L(rows) + d Z^n``, for any d >= 1 (Cohen, GTM 138,
+Alg. 2.4.8; Domich, Kannan and Trotter 1987), on rows packed as one int
+each: entry j sits in a field of ``2 bits(d) + bits(n + 2) + 1`` bits,
+which is reduced mod d only where it is read and never exceeds ``(n +
+2) d**2``, so a fold is one multiply, one add and one shift.  At full
+rank, with d a multiple of the index, that lattice is the row lattice
+itself.  ``_remainders`` divides other rows down such a basis; a row
+lies in its lattice exactly when its remainder is 0.
 
 The full-rank check of the embedding, ``_full_column_rank``, asks a
 yes/no question, so it starts with ``_rank_mod``, a Gaussian
@@ -367,9 +373,18 @@ def snf(m: IntMatrix, *, with_u: bool = True, with_v: bool = True) -> SnfResult:
 _P = 2**61 - 1
 
 
-def _pack(entries: Sequence[int], w: int) -> int:
-    """One int holding ``entries`` mod ``_P``, entry j in bits ``[j*w, (j+1)*w)``."""
-    return sum((x % _P) << (w * j) for j, x in enumerate(entries) if x)
+def _pack(entries: Sequence[int], w: int, modulus: int = _P) -> int:
+    """One int holding ``entries`` mod ``modulus``, entry j in bits ``[j*w, (j+1)*w)``."""
+    packed = 0
+    for j in compress(range(len(entries)), entries):
+        packed += entries[j] % modulus << w * j
+    return packed
+
+
+def _fields(row: int, w: int) -> list[int]:
+    """The ``w``-bit fields of ``row``, up to its last nonzero one."""
+    low = (1 << w) - 1
+    return [row >> s & low for s in range(0, row.bit_length(), w)]
 
 
 def _rank_mod(m: IntMatrix) -> int:
@@ -408,8 +423,7 @@ def _rank_mod(m: IntMatrix) -> int:
                 dirty = [row >> w for row in dirty]
                 continue
             # the pivot's entries are reduced below _P, which bounds the growth
-            packed = dirty.pop(i)
-            pivot = _pack([packed >> (w * k) & low for k in range(m.cols - j)], w)
+            pivot = _pack(_fields(dirty.pop(i), w), w)
         # row + (lead * minus_inverse mod _P) * pivot has a lead of 0 mod _P
         minus_inverse = _P - pow(pivot & low, -1, _P)
         updated = []
@@ -455,30 +469,54 @@ def _carry(
     return row, c, s, j
 
 
-def _echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int, _Elimination]:
-    """The rank k of ``rows``, ``|det|`` of a nonsingular k x k minor (1 at
-    k = 0) and the elimination that found them, for :func:`_outside_span`.
+def _echelon(
+    rows: Sequence[Sequence[int]], n: int, top: int | None = None
+) -> tuple[int, int, _Elimination]:
+    """The rank k of the first ``top`` of ``rows`` (all of them by
+    default), ``|det|`` of the minor on every pivot row and column (1
+    without one) and the steps of those ``top`` rows, for
+    :func:`_outside_span`.
 
     Fraction-free (Bareiss) elimination with row pivoting: a column where
     no remaining row is nonzero takes no step, and step t takes the first
     remaining row that is nonzero in its column ``c_t`` as its pivot row;
     the other rows become ``(p_t row - row[c_t] pivot) / p_{t-1}``, an
     exact division, where ``p_t`` is the pivot's entry there and ``p_{-1}
-    = 1``.  ``|p_{k-1}|`` is the determinant of the minor on the pivot
-    rows and columns, a multiple of the k-th determinantal divisor.
+    = 1``.  ``|p_t|`` is the determinant of the minor on the pivot rows
+    and columns of steps 0 to t, so the last is a multiple of the
+    determinantal divisor of its size.
+
+    A row after the first ``top`` takes a pivot only at a column where
+    every remaining top row is 0, so its step only scales them: the top
+    rows stay in their own row space, and k counts their pivots.  At such
+    a column the search first looks for a later row that is nonzero there
+    with no step to take, so that a unit row of E takes none of F's
+    steps.  Below that rank, the minor of a stack ``[F; E]`` has k rows
+    of F, so by Laplace expansion along them its determinant is a
+    multiple of F's k-th determinantal divisor; when the stack has full
+    column rank it is also a multiple of the index of its row lattice.
+    At full rank the search never reaches the rows after ``top``.
 
     A row is brought up to date by :func:`_carry` only when the search
     for a pivot reaches it.
     """
     p = [1]  # p[t] = p_{t-1}
     steps: dict[int, int] = {}  # t at c_t
+    spanned: dict[int, int] = {}  # t at c_t, for the steps of the top rows
     tails: list[Sequence[int]] = []  # the pivot row of step t, from column c_t + 1 on
     elimination = (p, steps, tails)
     # each remaining row as its entries from column c on, c, and the step
-    # s it is up to date to
+    # s it is up to date to; the first ``left`` of them are top rows
     work = [(row, 0, 0) for row in rows]
+    left = len(work) if top is None else top
     for j in range(n):
         for i, (row, c, s) in enumerate(work):
+            if i == left:
+                # no top row is nonzero at j: a row after them that is, with
+                # no step to take, goes first
+                ready = (t for t in range(left, len(work)) if _lead(*work[t][:2]) == j)
+                work.insert(left, work.pop(next(ready, left)))
+                row, c, s = work[left]
             row, c, s, lead = _carry(row, c, s, elimination)
             work[i] = (row, c, s)
             if lead == j:
@@ -487,19 +525,22 @@ def _echelon(rows: Sequence[Sequence[int]], n: int) -> tuple[int, int, _Eliminat
             continue
         del work[i]
         k = len(tails)
+        if i < left:
+            left -= 1
+            spanned[j] = k
         row = row[j - c :]
         if k > s:
             row = [x * p[k] // p[s] for x in row]
         p.append(row[0])
         steps[j] = k
         tails.append(row[1:])
-    return len(tails), abs(p[-1]), elimination
+    return len(spanned), abs(p[-1]), (p, spanned, tails)
 
 
 def _outside_span(elimination: _Elimination, probes: Sequence[Sequence[int]]) -> list[int]:
     """The indices of the ``probes`` outside the row space over Q of the
-    rows that :func:`_echelon` eliminated: those that :func:`_carry`
-    leaves with a nonzero entry, at a column without a pivot."""
+    top rows that :func:`_echelon` eliminated: those that :func:`_carry`
+    leaves with a nonzero entry at a column without a top row's pivot."""
     carried = (_carry(row, 0, 0, elimination) for row in probes)
     return [i for i, (*_, lead) in enumerate(carried) if lead is not None]
 
@@ -529,67 +570,106 @@ def _remainders(
     return out
 
 
+def _wait(buckets: list[list[int]], row: int, j: int, w: int) -> None:
+    """File ``row``, whose field 0 is at column j, under its first nonzero field."""
+    if row:
+        t = ((row & -row).bit_length() - 1) // w
+        buckets[j + t].append(row >> w * t)
+
+
 def _hermite_mod(rows: Sequence[Sequence[int]], n: int, d: int) -> list[list[int]]:
     """The Hermite basis of ``L(rows) + d Z^n``, for any ``d >= 1``.
 
     The result is the n x n upper-triangular ``H`` with ``0 <= h_ij <
-    h_jj`` above the diagonal.  The lattice contains ``d Z^n``, so every
-    row is kept mod d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and
-    Trotter 1987).  Column j folds every row that is nonzero there into
-    one pivot row P by extended-gcd pairs, on entries j to n - 1 only.
+    h_jj`` above the diagonal.  The lattice contains ``d Z^n``, so rows
+    are taken mod d (Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and
+    Trotter 1987).  A working row is one nonnegative int that waits under
+    a column c: its field t, of ``w`` bits, holds its entry at column c +
+    t.  It is packed from its nonzero entries, each reduced mod d, and a
+    field is reduced again only where it is read: at the lead, and in a
+    row that becomes the pivot.
+
+    Column j folds every row whose lead is not 0 mod d into one pivot row
+    P, with every field below d.  P is the first row whose lead is a unit
+    mod d, scaled to lead 1, or else the first whose lead is not 0 mod d.
+    A row whose lead b is a multiple of P's lead a becomes ``(row + (d -
+    b // a) P) >> w``: that adds below ``d**2`` to each field and drops a
+    lead that is a multiple of d.  A row whose lead divides a takes P's
+    place, and P folds into it; any other row and P are reduced and
+    folded by an extended-gcd pair.  A row starts with fields below ``2
+    d**2`` and is folded at most once per column after that, so no field
+    reaches ``(n + 2) d**2 < 2**(w - 1)`` and none carries into the next.
     Row j of ``H`` is P times ``u``, where ``u x = gcd(x, d) = h_jj`` mod
     d, and what is left of the lattice also holds ``d / h_jj`` times the
-    tail of P, which waits with the other rows.  A row waits untouched
-    under its first nonzero column until that column comes, and moves on
-    if its entry there is a multiple of d.  Last, rows are reduced from
-    the bottom up: each entry above a pivot is reduced mod it by the
-    reduced row below, along that row's nonzero entries only.
+    tail of P, which waits with the other rows.  A row waits under its
+    first nonzero field, and moves on if that field is a multiple of d.
+    Last, rows are reduced from the bottom up: each entry above a pivot
+    is reduced mod it by the reduced row below, along that row's nonzero
+    entries only.
     """
-    # (entries from column s on, s) of the working rows by lead column
-    waiting: list[list[tuple[Sequence[int], int]]] = [[] for _ in range(n)]
+    w = 2 * d.bit_length() + (n + 2).bit_length() + 1
+    low = (1 << w) - 1
+    # the rows by the column of their field 0: those with every field below
+    # d, and the others
+    reduced: list[list[int]] = [[] for _ in range(n)]
+    waiting: list[list[int]] = [[] for _ in range(n)]
     for row in rows:
-        if (c := _lead(row, 0)) is not None:
-            waiting[c].append((row, 0))
+        _wait(reduced, _pack(row, w, d), 0, w)
     basis = []
-    for j, bucket in enumerate(waiting):
-        pivot = None
-        for row, s in bucket:
-            row = row[j - s :]
-            b = row[0] % d
+    for j in range(n):
+        bucket = reduced[j] + waiting[j]
+        leads = [(row & low) % d for row in bucket]
+        pick, u = None, 1
+        for i, b in enumerate(leads):
+            if b:
+                if gcd(b, d) == 1:
+                    pick, u = i, pow(b, -1, d)
+                    break
+                if pick is None:
+                    pick = i
+        if pick is None:
+            for row in bucket:
+                _wait(waiting, row >> w, j + 1, w)
+            basis.append([0] * j + [d] + [0] * (n - j - 1))
+            continue
+        pivot = bucket.pop(pick)
+        del leads[pick]
+        # a row that no fold has touched is reduced already, and P is scaled
+        # only when it has rows to fold
+        if pick >= len(reduced[j]) or u > 1 and any(leads):
+            pivot = _pack([u * x for x in _fields(pivot, w)], w, d)
+        a = pivot & low
+        for row, b in zip(bucket, leads):
             if not b:
-                # a multiple of d: wait under the next column that is not
-                row = [x % d for x in row]
-                if (c := _lead(row, j)) is not None:
-                    waiting[c].append((row, j))
-                continue
-            if pivot is None:
-                pivot = [b] + [x % d for x in row[1:]]
-                continue
-            a, top, row = pivot[0], pivot[1:], row[1:]
-            if b % a:
+                _wait(waiting, row >> w, j + 1, w)
+            elif not b % a:
+                row = row + (d - b // a) * pivot >> w
+                if row & low:
+                    waiting[j + 1].append(row)
+                else:
+                    _wait(waiting, row, j + 1, w)
+            elif a % b:
                 g = gcd(a, b)
                 a, b = a // g, b // g
                 # [[u, v], [-b, a]] is unimodular and takes (a, b) to (1, 0)
                 u = pow(a, -1, b)
-                v = (1 - u * a) // b
-                pivot = [g] + [(u * x + v * y) % d for x, y in zip(top, row)]
-                row = [(a * y - b * x) % d for x, y in zip(top, row)]
+                v = (1 - u * a) // b % d
+                row = _pack(_fields(row, w), w, d)
+                _wait(waiting, (d - b) * pivot + a * row >> w, j + 1, w)
+                pivot = _pack(_fields(u * pivot + v * row, w), w, d)
+                a = g
             else:
-                q = b // a
-                row = [(y - q * x) % d for x, y in zip(top, row)]
-            if (c := _lead(row, j + 1)) is not None:
-                waiting[c].append((row, j + 1))
-        if pivot is None:
-            h, tail = d, [0] * (n - j - 1)
-        else:
-            h = gcd(pivot[0], d)
-            u = pow(pivot[0] // h, -1, d // h)
-            tail = [u * x % d for x in pivot[1:]]
-            if h > 1:
-                row = [d // h * x % d for x in pivot[1:]]
-                if (c := _lead(row, j + 1)) is not None:
-                    waiting[c].append((row, j + 1))
-        basis.append([0] * j + [h] + tail)
+                row = _pack(_fields(row, w), w, d)
+                _wait(waiting, pivot + (d - a // b) * row >> w, j + 1, w)
+                pivot, a = row, b
+        h = gcd(a, d)
+        top = _fields(pivot >> w, w)
+        if h < a:
+            u = pow(a // h, -1, d // h)
+            top = [u * x % d for x in top]
+        if h > 1:
+            _wait(waiting, d // h * (pivot >> w), j + 1, w)
+        basis.append([0] * j + [h] + top + [0] * (n - j - 1 - len(top)))
     support: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = basis[i]

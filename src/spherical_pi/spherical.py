@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .arith import _check_char_exponent, _check_count
 from .intmat import (
@@ -329,14 +329,16 @@ def _core(
 ) -> tuple[FinGenAbQuotient, FinGenAbQuotient, tuple[CheckOutcome, ...]]:
     """The characteristic-free core of ``sd``, computed on first use.
 
-    It holds the two quotients and the p-free check outcomes.
-    ``_echelon`` gives the rank k of the colors F and a k x k minor d;
-    below full rank, d is raised to a multiple of the index of L([F; E]),
-    a nonsingular r x r minor of E, which has full column rank.  The
-    Hermite basis H of ``L(F) + d Z^r`` gives the color quotient: its
-    torsion, whose exponent divides d, and ``r - k`` factors d for its
-    divisible directions.  ``L([F; E])`` contains ``d Z^r``, so it is the
-    lattice of ``[H; E]``.  ``_remainders`` divides the rows of E and
+    It holds the two quotients and the p-free check outcomes.  One
+    ``_echelon`` of the colors F stacked on the embedding E, which has
+    full column rank, gives the rank k of F and the determinant d of the
+    minor on its pivots: at full rank a k x k minor of F, and below it an
+    r x r minor with k rows of F, a multiple of F's k-th determinantal
+    divisor and of the index of L([F; E]).  The Hermite basis H of
+    ``L(F) + d Z^r`` gives the color quotient: its torsion, whose
+    exponent divides d, and ``r - k`` factors d for its divisible
+    directions.  ``L([F; E])`` contains ``d Z^r``, so it is the lattice
+    of ``[H; E]``.  ``_remainders`` divides the rows of E and
     the restricted coroots down H in one call.  Taking rows of H away
     leaves ``L([H; E])`` as it is, and the remainders of E are 0 at every
     column of H with pivot 1, which splits off (see :func:`_above_one`).
@@ -347,16 +349,14 @@ def _core(
     it lies in the row space of F, which ``L(F) + d Z^r`` meets in L(F).
     The coroot matrix is multiplied by E once, when the datum has
     coroots, and below full rank ``_outside_span`` carries the same rows
-    through the elimination of F.
+    through the steps of F's rows in that elimination.
     """
     core = sd._core  # type: ignore[attr-defined]
     if not core:
         colors = sd.colors.entries
         embedding = sd.lattice_embedding.entries
         r = sd.rank
-        k, d, elimination = _echelon(colors, r)
-        if k < r:
-            d = lcm(d, _echelon(embedding, r)[1])
+        k, d, elimination = _echelon(colors + embedding, r, len(colors))
         basis = _hermite_mod(colors, r, d)
         kept, block = _above_one(basis)
         index = prod(row[i] for i, row in enumerate(block))
@@ -382,15 +382,16 @@ def full_report(sd: SphericalDatum) -> Report:
 
     The core (see :func:`_core`) holds the color saturation quotient, the
     ambient one and the embedding-rank and coroot-span outcomes.  It
-    costs one determinant (two below full column rank), two Hermite bases
-    taken mod a determinant, the second only on the columns where the
+    costs one elimination of the colors stacked on the embedding, which
+    reaches the embedding only below full column rank, two Hermite bases
+    taken mod its determinant, the second only on the columns where the
     first has a pivot above 1, one division of the embedding's rows and
     the restricted coroots down the first, and two certificate-free Smith
     forms of the bases' blocks with pivots above 1.  The coroots are
     restricted by one product, which costs the nonzero entries of its
     operands; below full column rank, each also takes the steps of the
-    elimination of the colors.  pi1 and pi0 are the p'-parts of the two
-    quotients.  A failed coroot-span check is a warning in
+    colors' rows in the elimination.  pi1 and pi0 are the p'-parts of
+    the two quotients.  A failed coroot-span check is a warning in
     ``validation``.
 
     The core is computed once, by the first call of any public entry point

@@ -702,6 +702,20 @@ def first_minor_det(rows, n):
     return k, abs(int(d))
 
 
+def first_pivot_columns(rows, n):
+    """The pivot columns of ``rows`` under row pivoting, over Q: the
+    columns where some row is first nonzero after elimination."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    columns = []
+    for j in range(n):
+        pivot = next((row for row in work if row[j]), None)
+        if pivot is not None:
+            work.remove(pivot)
+            columns.append(j)
+            work = [[a - row[j] / pivot[j] * b for a, b in zip(row, pivot)] for row in work]
+    return columns
+
+
 def index_of(m):
     """The index of the row lattice of ``m`` in ``Z^cols``, 0 when it is infinite."""
     res = snf(m, with_u=False, with_v=False)
@@ -754,6 +768,42 @@ def kernel_inputs():
             cases.append(planted(rng, n + extra, n, [1] * (n - 1) + [0], 2))
         if n > 1:
             cases.append(planted(rng, n // 2, n, [2] * n, 2))
+    return cases
+
+
+def packed_cases():
+    """Seeded rows for the packed rows of ``_hermite_mod``, as ``(rows, n)``.
+
+    Tall dense rows, up to 4n of them, that are all nonzero in column 0,
+    so that it folds every row and the rows left over take a fold at
+    every column; rows of +-256-bit entries; and sparse Cartan rows, of
+    C and of 2C, with some rows left out or repeated.  Every third tall
+    case is a product through a narrower middle, so of lower rank.
+    """
+    rng = random.Random("packed rows")
+    cases = []
+    for i in range(60):
+        n = rng.randint(1, 7)
+        bits = (2, 5, 30)[i % 3]
+        rows = [[rng.choice((-1, 1)) * rng.randint(1, 2**bits)]
+                + [rng.randint(-(2**bits), 2**bits) for _ in range(n - 1)]
+                for _ in range(rng.randint(n, 4 * n))]
+        if i % 3 == 2 and n > 1:
+            rows = [list(row) for row in (mat(rows) @ sparse_matrix(rng, n, n - 1, 1, 3)
+                                          @ sparse_matrix(rng, n - 1, n, 1, 3)).entries]
+        cases.append((rows, n))
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        bound = 2**256
+        cases.append(([[rng.randint(-bound, bound) for _ in range(n)]
+                       for _ in range(rng.randint(1, 2 * n))], n))
+    for series, n in (("A", 5), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("G", 2)):
+        c = [list(row) for row in cartan_matrix(series, n).entries]
+        for scale in (1, 2):
+            rows = [[scale * x for x in row] for row in c]
+            cases.append((rows, n))
+            cases.append((rows[1:], n))
+            cases.append((rows + [rows[0]] + [[0] * n], n))
     return cases
 
 
@@ -821,6 +871,35 @@ class TestHermiteMod:
                                math.prod(row[j] for j, row in enumerate(h)))
             assert got == hermite_reference(both)
 
+    def test_packed_rows_against_hnf(self):
+        # tall, 256-bit and sparse Cartan rows of full rank, mod 1, the
+        # minor, the index and multiples of it above 2**64
+        rng = random.Random("packed rows of full rank")
+        seen = Counter()
+        for rows, n in packed_cases():
+            m = mat(rows, cols=n)
+            k, d = _echelon(rows, n)[:2]
+            if k < n:
+                continue
+            index = index_of(m)
+            want = hermite_reference(m)
+            assert _hermite_mod(rows, n, 1) == [[int(i == j) for j in range(n)] for i in range(n)]
+            for modulus in (d, index, index << 65, index * (2**64 + rng.randint(1, 2**70))):
+                assert _hermite_mod(rows, n, modulus) == want, (rows, modulus)
+            seen[len(rows) > 2 * n, max(abs(x) for row in rows for x in row) > 2**64] += 1
+        # tall inputs, up to 4n rows, and +-256-bit entries
+        assert seen[True, False] >= 20 and seen[False, True] >= 20, seen
+
+    def test_a_lead_that_is_a_nonzero_multiple_of_d(self):
+        # mod 5, (2, 4, 1) folds into the pivot (1, 2, 0) as (2, 4, 1) + 3
+        # (1, 2, 0), whose entries 10 and 1 are unreduced: it waits under
+        # column 1, where 10 is 0 mod 5, and moves on to column 2
+        assert _hermite_mod(((1, 2, 0), (2, 4, 1)), 3, 5) == [[1, 2, 0], [0, 5, 0], [0, 0, 1]]
+        # and again at the next column: (1, 2, 1) + 4 (1, 2, 1) is 5 (1, 2, 1)
+        rows = ((1, 2, 1), (1, 2, 1), (3, 1, 1))
+        gens = [list(row) for row in rows] + [[5 * (i == j) for j in range(3)] for i in range(3)]
+        assert _hermite_mod(rows, 3, 5) == hermite_reference(mat(gens))
+
     def test_edge_shapes(self):
         assert _echelon((), 0)[:2] == (0, 1) and _hermite_mod((), 0, 1) == []
         assert _echelon(((),), 0)[:2] == (0, 1)
@@ -865,22 +944,52 @@ def in_lattice(basis, v):
     return solve_in_lattice(mat(basis, cols=n).transpose(), v) is not None
 
 
+def stacked_embedding(rng, n, bits):
+    """Seeded rows of full column rank n, n to n + 2 of them, as the E of a
+    stack [F; E]."""
+    while True:
+        rows = [list(row) for row in sparse_matrix(rng, n + rng.randint(0, 2), n, 0.8, bits).entries]
+        if _echelon(rows, n)[0] == n:
+            return rows
+
+
 class TestRankRevealing:
     """``_echelon`` below full rank and ``_hermite_mod`` of ``L(rows) + d Z^n``."""
 
     def test_det_minor_gives_the_rank_and_a_multiple_of_the_divisor(self):
+        # each seeded case alone, and stacked on rows E of full column rank
+        # with the case's rows counted as the top: k is still the rank of
+        # the case alone, and d a multiple of its k-th determinantal divisor
+        # and of the index of L([F; E]); at full rank, the case's own minor
         rng = random.Random("rank-revealing")
+        stack_rng = random.Random("stacked elimination")
         ranks = Counter()
+        stacks = Counter()
         cases = [deficient_case(rng, i) for i in range(400)]
         cases += [(m.entries, m.cols) for m in kernel_inputs()]
-        for rows, n in cases:
+        for i, (rows, n) in enumerate(cases):
             k, d = _echelon(rows, n)[:2]
             res = snf(mat(rows, cols=n), with_u=False, with_v=False)
+            divisor = math.prod(res.diagonal()[:k])
             assert k == res.rank
-            assert d >= 1 and d % math.prod(res.diagonal()[:k]) == 0
+            assert d >= 1 and d % divisor == 0
             ranks[k < n, k] += 1
+            if i < 400:
+                embedding = stacked_embedding(stack_rng, n, (3, 8, 100)[i % 3])
+                k_stack, d_stack = _echelon(list(rows) + embedding, n, len(rows))[:2]
+                assert k_stack == k
+                assert d_stack % divisor == 0
+                assert d_stack % index_of(mat(list(rows) + embedding, cols=n)) == 0
+                assert k < n or d_stack == d
+                stacks[0 < k < n, k == n] += 1
         assert sum(v for (deficient, _), v in ranks.items() if deficient) >= 250
         assert all(ranks[True, k] >= 10 for k in range(6))
+        # below full rank but not 0, at full rank, and at rank 0
+        assert stacks[True, False] >= 120 and stacks[False, True] >= 80, stacks
+        assert stacks[False, False] >= 100, stacks
+        # [[0, 2]] on E = I: the pivot at column 0 is E's, and the minor
+        # takes the 2 of F's row
+        assert _echelon(((0, 2), (1, 0), (0, 1)), 2, 1)[:2] == (1, 2)
 
     def test_hermite_mod_at_every_rank_and_modulus(self):
         # L(rows) + d Z^n, for moduli that are multiples of the minor and
@@ -930,6 +1039,7 @@ class TestRankRevealing:
         # probes in the row space over Q (combinations, one of them with a
         # denominator), a unit vector at each column and random vectors
         rng = random.Random("outside-span")
+        stack_rng = random.Random("outside the span of a stack")
         seen = Counter()
         for i in range(300):
             rows, n = deficient_case(rng, i)
@@ -948,10 +1058,36 @@ class TestRankRevealing:
                     want.append(t)
             assert _outside_span(elimination, probes) == want
             seen[bool(want), len(want) < len(probes)] += 1
+            # the same probes through the steps of F's rows in the
+            # elimination of [F; E]: F's rows pivot at the columns where
+            # they pivot alone, E's rows at the others, and the unit vectors
+            # at E's columns are among those flagged
+            embedding = stacked_embedding(stack_rng, n, 3)
+            k, _, stacked = _echelon(rows + embedding, n, len(rows))
+            assert _outside_span(stacked, probes) == want
+            spanned = first_pivot_columns(rows, n)
+            assert list(stacked[1]) == spanned and len(spanned) == k
+            assert all(t in want for t in range(n) if t not in spanned)
+            seen["E pivots"] += k < n
         assert all(seen[key] >= 40 for key in ((True, True), (False, True), (True, False)))
+        assert seen["E pivots"] >= 150
         assert _outside_span(_echelon((), 0)[2], [(), ()]) == []
         elimination = _echelon(((0, 3, 1),), 3)[2]
         assert _outside_span(elimination, [(0, 6, 2), (1, 0, 0)]) == [1]
+
+    def test_packed_rows_of_any_rank_and_modulus(self):
+        # the tall, 256-bit and Cartan rows of packed_cases at every rank,
+        # mod 1, the minor, a multiple of it above 2**64 and a value above
+        # 2**64 drawn with no regard to it
+        rng = random.Random("packed rows of any rank")
+        seen = Counter()
+        for rows, n in packed_cases():
+            k, minor = _echelon(rows, n)[:2]
+            for d in (1, minor, minor << 64, 2**64 + rng.randint(1, 2**80)):
+                gens = rows + [[d * (i == j) for j in range(n)] for i in range(n)]
+                assert _hermite_mod(rows, n, d) == hermite_reference(mat(gens, cols=n))
+            seen[k < n] += 1
+        assert seen[True] >= 20 and seen[False] >= 60, seen
 
     def test_remainders_against_solve_in_lattice(self):
         # bases from _hermite_mod at full rank and below it, and upper-

@@ -43,6 +43,7 @@ from spherical_pi.spherical import (
     SphericalDatum,
     ambient_color_saturation,
     ambient_saturation_quotient,
+    color_saturation,
     full_report,
     pi0_p_prime,
     pi1_p_prime,
@@ -199,9 +200,9 @@ def record_snf(monkeypatch, requests=None):
         calls.append((MOD_P, m.rows, m.cols))
         return real(m)
 
-    def counting_det(rows, n, real=intmat._echelon):
+    def counting_det(rows, n, top=None, real=intmat._echelon):
         calls.append((DET, len(rows), n))
-        return real(rows, n)
+        return real(rows, n, top)
 
     def counting_hnf(rows, n, d, real=intmat._hermite_mod):
         calls.append((HNF, len(rows), n))
@@ -241,8 +242,10 @@ def snf_shapes(monkeypatch, fn, sd):
 def hermite_route(n, kept):
     """The kernel calls of the core of a rank-n group case ``group_case``.
 
-    The determinant of a minor of the n x n colors, their Hermite basis
-    mod it, the 2n rows of the embedding [I; -I] and the 2n restricted
+    One elimination of the n colors stacked on the 2n rows of the
+    embedding [I; -I], which finds a pivot for every column among the
+    colors and never reaches the embedding, the colors' Hermite basis mod
+    their minor, the 2n rows of the embedding and the 2n restricted
     coroots divided down that basis in one call, the basis's block on its
     ``kept`` pivots above 1 stacked on the embedding's remainders on
     those columns, mod its own determinant, and the Smith forms of the
@@ -250,7 +253,7 @@ def hermite_route(n, kept):
     ambient basis, which the embedding makes I.
     """
     return [
-        (DET, n, n),
+        (DET, 3 * n, n),
         (HNF, n, n),
         (REMAINDERS, 4 * n),
         (HNF, kept + 2 * n, kept),
@@ -314,12 +317,12 @@ class TestSnfBudget:
         emb = IntMatrix.from_rows([[1, 2, 0], [0, 3, 1], [1, 1, 1]])
         colors = IntMatrix.from_rows([[2, 0, 4], [6, 3, 0]])
         sd = SphericalDatum(torus(3), emb, colors, 3)
-        # fewer colors than columns: rank 2 and a minor 6, raised to 12 by
-        # det E = 4.  The basis of L(F) + 12 Z^3 has pivots 2, 3 and 12, and
-        # the embedding makes the ambient basis I
+        # fewer colors than columns: one elimination of [F; E] finds rank 2
+        # for F and a 3 x 3 minor 36 on both rows of F and one of E.  The
+        # basis of L(F) + 36 Z^3 has pivots 2, 3 and 36, and the embedding
+        # makes the ambient basis I
         assert snf_shapes(monkeypatch, full_report, sd) == [
-            (DET, 2, 3),
-            (DET, 3, 3),
+            (DET, 5, 3),
             (HNF, 2, 3),
             (REMAINDERS, 3),
             (HNF, 6, 3),
@@ -332,17 +335,16 @@ class TestSnfBudget:
         self, monkeypatch, colors
     ):
         # the coroot is divided down the basis with the two rows of the
-        # embedding and takes the steps of the elimination that found the
-        # rank of F, whether it passes the check or fails it.  The basis of L(F) + d Z^2 is I for d = 1, and 2 I
-        # for [[2, 0]], where d = 2; the ambient basis is as wide as its
-        # pivots above 1
+        # embedding and takes the steps of F's rows in the one elimination
+        # of [F; E], whether it passes the check or fails it.  The basis of
+        # L(F) + d Z^2 is I for d = 1, and 2 I for [[2, 0]], where d = 2;
+        # the ambient basis is as wide as its pivots above 1
         kept = 2 if colors == [[2, 0]] else 0
         sd = a1_with_central_torus(colors)
         calls = snf_shapes(monkeypatch, full_report, sd)
         kernels = [c for c in calls if isinstance(c[0], str)]
         assert kernels == [
-            (DET, 1, 2),
-            (DET, 2, 2),
+            (DET, 3, 2),
             (HNF, 1, 2),
             (REMAINDERS, 3),
             (HNF, kept + 2, kept),
@@ -367,8 +369,7 @@ class TestSnfBudget:
         assert flagged(full_report(sd).validation) == want
         kernels = [c for c in calls if isinstance(c[0], str)]
         assert kernels == [
-            (DET, n - 1, n),
-            (DET, 2 * n, n),
+            (DET, 3 * n - 1, n),
             (HNF, n - 1, n),
             (REMAINDERS, 4 * n),
             (HNF, 1 + 2 * n, 1),
@@ -618,9 +619,7 @@ def lattice_ambient_quotient(sd):
 def colors_basis(sd):
     """The Hermite basis H of the core and its modulus d, as ``_core`` takes them."""
     colors, embedding, r = sd.colors.entries, sd.lattice_embedding.entries, sd.rank
-    k, d, _ = intmat._echelon(colors, r)
-    if k < r:
-        d = math.lcm(d, intmat._echelon(embedding, r)[1])
+    d = intmat._echelon(colors + embedding, r, len(colors))[1]
     return intmat._hermite_mod(colors, r, d), d
 
 
@@ -700,6 +699,42 @@ class TestAmbientFromColors:
         assert ambient_saturation_quotient(sd).invariant_factors == (2, 6)
 
 
+def wide_document(rng, r, m):
+    """A seeded document of rank r with m dense colors of up to 256 bits.
+
+    The colors ``F0 @ X`` and the embedding ``E0 @ X``, of r to r + 2
+    rows of small entries, share a right factor ``X = diag(c) W``, which
+    puts ``Z/c_j`` into both quotients.
+    """
+    frame = IntMatrix.from_rows(
+        [[c * x for x in row] for c, row in zip(
+            [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(r)], random_unimodular(rng, r).entries
+        )],
+        cols=r,
+    )
+    # the largest bound that keeps every entry of F0 @ X within 256 bits
+    bound = (2**256 - 1) // max(sum(map(abs, col)) for col in zip(*frame.entries))
+    colors = IntMatrix.from_rows(
+        [[rng.randint(-bound, bound) for _ in range(r)] for _ in range(m)], cols=r
+    )
+    while True:
+        embedding = IntMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(r)] for _ in range(r + rng.randint(0, 2))]
+        )
+        if snf(embedding, with_u=False, with_v=False).rank == r:
+            break
+    lattice = (embedding @ frame).transpose()
+    return json.dumps({
+        "label": f"wide r{r}m{m}",
+        "p": 1,
+        "root_datum": {
+            "explicit": {"rank": lattice.cols, "simple_roots": [], "simple_coroots": []}
+        },
+        "lattice": [list(row) for row in lattice.entries],
+        "colors": [list(row) for row in (colors @ frame).entries],
+    })
+
+
 class TestHermiteRouteAgainstSmith:
     """The report read off Hermite bases against the Smith forms of F and [F; E]."""
 
@@ -725,6 +760,26 @@ class TestHermiteRouteAgainstSmith:
         # span check
         assert classes[True, False] >= 100 and classes[True, True] >= 30
         assert classes[False, False] >= 50 and classes[False, True] >= 25
+
+    @pytest.mark.parametrize("extra", [-3, 0, 3])
+    def test_dense_256_bit_documents(self, extra):
+        # fewer, as many and more dense colors than the rank 12 to 16: the
+        # Hermite bases are taken mod determinants of thousands of bits,
+        # and both quotients match the Smith forms of F and [F; E] and the
+        # saturations of the verification route
+        rng = random.Random(f"wide fields {extra}")
+        for _ in range(2):
+            r = rng.randint(12, 16)
+            sd = parse(wide_document(rng, r, r + extra))
+            report = full_report(sd)
+            colors, embedding = sd.colors.entries, sd.lattice_embedding.entries
+            assert intmat._echelon(colors + embedding, r, len(colors))[1].bit_length() > 2000
+            want = smith_quotient(snf(sd.colors, with_u=False, with_v=False))
+            assert report.saturation_quotient == want == color_saturation(sd)[1]
+            want = direct_ambient_quotient(sd)
+            assert report.ambient_saturation_quotient == want
+            assert want == ambient_color_saturation(sd)[1]
+            assert not want.is_trivial
 
     @pytest.mark.parametrize("series, n", [("A", 8), ("B", 4), ("D", 6), ("E", 7)])
     def test_group_case_twins(self, series, n):
